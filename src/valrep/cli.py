@@ -22,7 +22,7 @@ from .currents import (
 from .exprparse import ParseError, parse_ratfunc
 from .fields import OrderSpec, RatFunc, format_ratfunc
 from .framing import FramingTable, verify_maximal_framing
-from .linalg import Matrix
+from .linalg import FracMatrix, Matrix, SingularMatrixError
 from .pants import pants_rep
 from .representation import (
     ClosedPoint,
@@ -33,12 +33,12 @@ from .representation import (
     RepTable,
     UnknownVerdict,
     closed_point_verdict,
-    sweep_translation_lengths,
 )
 from .spectra import (
     NORM_SPREAD,
     NORM_SUM,
     building_pseudodistance,
+    char_poly_polygon,
     jordan_valuation,
     translation_length,
 )
@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as err:
         _emit({"schema": SCHEMA, "error": {"code": "input", "message": str(err)}})
         return 2
-    except (ParseError, RepresentationError, ValueError) as err:
+    except (ParseError, RepresentationError, SingularMatrixError, ValueError) as err:
         _emit({"schema": SCHEMA, "error": {"code": "input", "message": str(err)}})
         return 2
     except DegreeGuardExceeded as err:
@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--maxlen", type=int, default=extra_flags.pop("maxlen", 4))
         p.add_argument("--degree-bound", type=int, default=512)
         p.add_argument("--norm", choices=(NORM_SUM, NORM_SPREAD), default=NORM_SUM)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--word", default=None)
         return p
 
@@ -300,7 +299,7 @@ def cmd_pants_demo(args) -> dict:
     jordan_table = []
     for text in standard_words:
         w = parse_word(text)
-        vec = jordan_valuation(rep.evaluate(w), valuation)
+        vec = jordan_valuation(rep.image(w), valuation)
         jordan_table.append(
             {
                 "word": text,
@@ -341,7 +340,7 @@ def cmd_trace(args) -> dict:
     return {"word": str(word), "trace": format_ratfunc(rep.trace(word))}
 
 
-def _matrix_or_rep_word(args) -> tuple[Matrix, Valuation]:
+def _matrix_or_rep_word(args) -> tuple[Matrix | FracMatrix, Valuation]:
     data = load_input(args)
     if "matrix" in data:
         m = matrix_from_json(data["matrix"])
@@ -350,7 +349,7 @@ def _matrix_or_rep_word(args) -> tuple[Matrix, Valuation]:
         return m, valuation
     rep = rep_from_args(args)
     word = word_from_args(args, data)
-    return rep.evaluate(word), rep.valuation
+    return rep.image(word), rep.valuation
 
 
 def cmd_translength(args) -> dict:
@@ -360,11 +359,9 @@ def cmd_translength(args) -> dict:
 
 
 def cmd_jordan(args) -> dict:
-    from .valuation import newton_polygon
-
     m, valuation = _matrix_or_rep_word(args)
     vec = jordan_valuation(m, valuation)
-    polygon = newton_polygon(m.char_poly(), valuation)
+    polygon = char_poly_polygon(m, valuation)
     return {
         "valuation": valuation.spec_string(),
         "jordan": [frac_str(v) for v in vec],

@@ -104,7 +104,7 @@ class PeriodReport:
 
 
 def period_via_length(rep: RepTable, word: Word) -> PeriodReport:
-    value = translation_length(rep.evaluate(word), rep.valuation, NORM_SUM)
+    value = translation_length(rep.image(word), rep.valuation, NORM_SUM)
     return PeriodReport(word, value, "translation_length")
 
 
@@ -240,15 +240,17 @@ def multicurve_certificate_ball(
     Periods are conjugation- and inversion-invariant, so each class is
     computed once and reused for all its members.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     gens = rep.free_generators
     class_periods: dict[tuple, Fraction] = {}
     periods = []
     from .words import conjugacy_key
 
-    for word, matrix in rep.iter_ball(max_len, degree_bound=degree_bound):
+    for word, image in rep.iter_ball(max_len, degree_bound=degree_bound):
         key = conjugacy_key(word, gens)
         if key not in class_periods:
-            class_periods[key] = translation_length(matrix, rep.valuation, NORM_SUM)
+            class_periods[key] = translation_length(image, rep.valuation, NORM_SUM)
         periods.append((word, class_periods[key]))
     return certify_period_values(periods, k_max)
 
@@ -278,13 +280,13 @@ def systole_sweep(
     best = None
     witness = None
     swept = 0
-    for word, matrix in rep.iter_ball(radius, degree_bound=degree_bound):
+    for word, image in rep.iter_ball(radius, degree_bound=degree_bound):
         if not is_class_representative(word, gens):
             continue
         if any(is_power_of_class(word, b, gens) for b in boundary_words):
             continue
         swept += 1
-        value = translation_length(matrix, rep.valuation, NORM_SUM)
+        value = translation_length(image, rep.valuation, NORM_SUM)
         if best is None or value < best:
             best, witness = value, word
             if best == 0:

@@ -1,18 +1,25 @@
-"""Exact dense matrices over a field (Q or Q(X)).
+"""Exact dense matrices over Q, Q(X) and Z[X], and fraction-free Q(X) matrices.
 
-Entries are duck-typed field elements; everything a matrix needs from
-them is +, -, *, / and comparison with 0.  Elimination is ordinary
-division-based Gaussian elimination (the fields here are cheap to divide
-in), and characteristic polynomials come from the Faddeev-LeVerrier
-recursion, which stays inside the base field.
+Entries are duck-typed ring elements; products and characteristic
+polynomials need only +, -, * and comparison with 0, and elimination
+(rref, det, inverse) also needs /.  Elimination is ordinary
+division-based Gaussian elimination over a field.  Characteristic
+polynomials come from Berkowitz's division-free recursion, one algorithm
+for every entry ring here.
+
+A `FracMatrix` holds a matrix over Q(X) as N/D: N with integer-polynomial
+entries, D one integer polynomial.  Multiplying two of them multiplies
+the N and the D and needs no gcd, which is what word sweeps do most.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .poly import Poly
+from .fields import RatFunc
+from .poly import Poly, gcd
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -20,7 +27,7 @@ class SingularMatrixError(ZeroDivisionError):
 
 
 class Matrix:
-    """Immutable row-major matrix with exact field entries."""
+    """Immutable row-major matrix with exact ring entries."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -69,11 +76,11 @@ class Matrix:
         return self.rows == self.cols
 
     def one(self):
-        """A multiplicative unit of the entry field, derived from an entry."""
+        """A multiplicative unit of the entry ring, derived from an entry."""
         for row in self.entries:
             for e in row:
                 if e != 0:
-                    return e / e
+                    return e**0
         return Fraction(1)
 
     def zero_entry(self):
@@ -232,22 +239,35 @@ class Matrix:
     def char_poly(self) -> Poly:
         """Monic characteristic polynomial det(T*I - A), lowest degree first.
 
-        Faddeev-LeVerrier recursion: M_1 = I, c_{n-1} = -tr(A);
-        M_k = A M_{k-1} + c_{n-k+1} I, c_{n-k} = -tr(A M_k)/k.
+        Berkowitz's division-free recursion (Berkowitz 1984), so the same
+        code runs over Q, Q(X) and Z[X].  Split a trailing principal block
+        as [[a, R], [C, M]]; its polynomial is the lower-triangular
+        Toeplitz product of (1, -a, -RC, -RMC, ..., -RM^(k-1)C) with the
+        polynomial of M (k = size of M).  Vectors run highest degree first
+        and leave their leading 1 implicit.
         """
         self._require_square()
         n = self.rows
-        one = self.one()
-        coeffs = [one * 0] * (n + 1)
-        coeffs[n] = one
-        m = Matrix.identity(n, one)
-        for k in range(1, n + 1):
-            am = self @ m
-            c = am.trace() * Fraction(-1, k)
-            coeffs[n - k] = c
-            if k < n:
-                m = am + Matrix.identity(n, one).scale(c)
-        return Poly(coeffs)
+        e = self.entries
+        p = [-e[n - 1][n - 1]]
+        for r in range(n - 2, -1, -1):
+            tail = range(r + 1, n)
+            row = [e[r][j] for j in tail]
+            v = [e[i][r] for i in tail]
+            q = [-e[r][r]]
+            for step in range(len(row)):
+                if step:
+                    v = [_dot(e[i][r + 1 :], v) for i in tail]
+                q.append(-_dot(row, v))
+            p = [
+                _sum(
+                    [q[t]]
+                    + ([p[t]] if t < len(p) else [])
+                    + [q[t - j] * p[j - 1] for j in range(1, t + 1)]
+                )
+                for t in range(len(q))
+            ]
+        return Poly([*reversed(p), self.one()])
 
     # -- helpers ----------------------------------------------------------
 
@@ -261,3 +281,104 @@ class Matrix:
 
     def map(self, fn: Callable) -> "Matrix":
         return Matrix([fn(e) for e in row] for row in self.entries)
+
+
+def _dot(xs: Sequence, ys: Sequence):
+    return _sum([x * y for x, y in zip(xs, ys)])
+
+
+def _sum(terms: Sequence):
+    """Sum of a nonempty sequence, without needing a zero of the ring."""
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return acc
+
+
+class FracMatrix:
+    """A square matrix over Q(X) kept as N/D, fraction-free.
+
+    N is a Matrix whose entries are Polys with integer coefficients and D
+    is one nonzero integer Poly.  Nothing is reduced: a product is
+    (N1 @ N2) / (D1 * D2), and canonical RatFunc entries are built only by
+    `to_matrix()` and `trace()`.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Matrix, den: Poly):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FracMatrix is immutable")
+
+    @classmethod
+    def from_matrix(cls, m: Matrix) -> "FracMatrix":
+        """Clear every entry denominator of m (entries in Q(X) or Q)."""
+        entries = [[RatFunc.coerce(e) for e in row] for row in m.entries]
+        den = Poly((Fraction(1),))
+        for row in entries:
+            for f in row:
+                if f.den.degree > 0:
+                    den = den * f.den.exact_div(gcd(den, f.den))
+        nums = [[f.num * den.exact_div(f.den) for f in row] for row in entries]
+        scale = 1
+        for p in [den] + [p for row in nums for p in row]:
+            for c in p.coeffs:
+                scale = lcm(scale, c.denominator)
+        return cls(
+            Matrix([[_integral(p, scale) for p in row] for row in nums]),
+            _integral(den, scale),
+        )
+
+    @classmethod
+    def identity(cls, n: int) -> "FracMatrix":
+        one = Poly((1,))
+        return cls(Matrix.identity(n, one), one)
+
+    @property
+    def rows(self) -> int:
+        return self.num.rows
+
+    def __matmul__(self, other: "FracMatrix") -> "FracMatrix":
+        return FracMatrix(self.num @ other.num, self.den * other.den)
+
+    def to_matrix(self) -> Matrix:
+        """The canonical matrix over Q(X)."""
+        den = _rational(self.den)
+        return Matrix([RatFunc(_rational(p), den) for p in row] for row in self.num.entries)
+
+    def trace(self) -> RatFunc:
+        return RatFunc(_rational(self.num.trace()), _rational(self.den))
+
+    def degree_over(self, bound: int) -> int | None:
+        """Largest degree of a reduced entry N_ij/D if it exceeds bound, else None.
+
+        The degree of a reduced entry is max(deg num, deg den, 0), as in
+        RatFunc.degree.  Reduction never raises a degree, so an entry
+        needs its gcd only when max(deg N_ij, deg D) already exceeds the
+        bound.
+        """
+        dd = self.den.degree
+        worst = None
+        for row in self.num.entries:
+            for p in row:
+                if max(p.degree, dd) <= bound:
+                    continue
+                if p.is_zero():
+                    deg = 0
+                else:
+                    g = gcd(p, self.den).degree
+                    deg = max(p.degree - g, dd - g, 0)
+                if deg > bound and (worst is None or deg > worst):
+                    worst = deg
+        return worst
+
+
+def _integral(p: Poly, scale: int) -> Poly:
+    return Poly((c * scale).numerator for c in p.coeffs)
+
+
+def _rational(p: Poly) -> Poly:
+    return Poly(Fraction(c) for c in p.coeffs)

@@ -4,11 +4,13 @@ A polynomial is stored as a tuple of coefficients, lowest degree first,
 with a nonzero last entry; the empty tuple is the zero polynomial.  The
 coefficient field is duck-typed: anything supporting +, -, *, / and
 comparison with 0 works, which in this package means `fractions.Fraction`
-(polynomials in X over Q) and `RatFunc` (characteristic polynomials in T
-over Q(X)).
+(polynomials in X over Q), `int` (the Z[X] numerators and denominators of
+fraction-free word images), `RatFunc` (characteristic polynomials in T
+over Q(X)) and `Poly` itself (characteristic polynomials in T over Z[X]).
 
-Division, gcd and multiplicity counting all use exact field arithmetic;
-nothing here ever rounds.
+Ring operations (+, -, *) work over any of these.  Division, gcd and
+multiplicity counting use exact field arithmetic; nothing here ever
+rounds.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        if isinstance(a[0], Fraction) and isinstance(b[0], Fraction):
+        # `type` rather than isinstance: Fraction is an ABC, slow to test ints against
+        if type(a[0]) is Fraction and type(b[0]) is Fraction:
             return _mul_rational(a, b)
         out = [a[0] * 0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
@@ -123,11 +126,10 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.constant(self.coeffs[0] / self.coeffs[0]) if self.coeffs else None
         if k == 0:
-            if result is None:
+            if not self.coeffs:
                 raise ValueError("0**0 for polynomials")
-            return result
+            return Poly.constant(self.leading() ** 0)
         base, out = self, None
         while k:
             if k & 1:
@@ -214,6 +216,11 @@ class Poly:
         """Write self = (X - a)^k * g with g(a) != 0; returns (k, g)."""
         if self.is_zero():
             raise ValueError("cannot deflate the zero polynomial")
+        if a == 0:
+            k = next(i for i, c in enumerate(self.coeffs) if c != 0)
+            return k, Poly(self.coeffs[k:])
+        if isinstance(a, Fraction) and a.denominator == 1:
+            a = a.numerator  # keeps integer coefficients in int arithmetic
         k, p = 0, self
         while p.evaluate(a) == 0:
             p = p.synthetic_div(a)

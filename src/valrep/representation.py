@@ -7,6 +7,14 @@ by level and deduplicate by conjugacy class (translation length is a
 class function, invariant under inversion), which keeps the reported
 first witness equal to the length-lexicographic first one.
 
+Word images are fraction-free: each generator and inverse is cleared
+once to a FracMatrix N/D (N over Z[X], D in Z[X]), and a product is
+(N1 @ N2) / (D1 * D2), with no gcd.  Canonical Q(X) matrices are built
+only where a caller asks for one (`evaluate`, `trace`).  The degree guard
+measures the largest degree of a *reduced* entry, as if each entry were
+canonical; since reduction never raises a degree, an entry needs its gcd
+only when max(deg N_ij, deg D) exceeds the bound.
+
 Closed-point verdicts follow the two sound routes: an integrality
 certificate (all generator entries in the valuation ring forces every
 word's Newton polygon onto the axis, so no word moves the basepoint) or
@@ -16,13 +24,12 @@ only ever reported as Unknown.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .fields import OrderSpec, RatFunc
-from .linalg import Matrix
+from .linalg import FracMatrix, Matrix
 from .spectra import NORM_SUM, translation_length
 from .symplectic import SymplecticForm, is_symplectic, symplectic_inverse
 from .valuation import Valuation, Value
@@ -86,7 +93,10 @@ class RepTable:
                 raise RepresentationError(f"image of {name!r} is not symplectic")
         self.presentation = presentation
         self.images = dict(images)
-        self.inverses = {name: symplectic_inverse(m) for name, m in images.items()}
+        self.letters = {}
+        for name, m in images.items():
+            self.letters[(name, 1)] = FracMatrix.from_matrix(m)
+            self.letters[(name, -1)] = FracMatrix.from_matrix(symplectic_inverse(m))
         self.order = order
         self.valuation = valuation
         self.free_generators = tuple(free_generators or presentation.generators)
@@ -109,18 +119,18 @@ class RepTable:
     def identity_matrix(self) -> Matrix:
         return Matrix.identity(self.size, self._one())
 
-    def letter_matrix(self, letter: tuple[str, int]) -> Matrix:
-        name, exp = letter
-        return self.images[name] if exp == 1 else self.inverses[name]
-
-    def evaluate(self, word: Word) -> Matrix:
-        out = self.identity_matrix()
+    def image(self, word: Word) -> FracMatrix:
+        """The fraction-free image of a word."""
+        out = FracMatrix.identity(self.size)
         for letter in word.letters:
-            out = out @ self.letter_matrix(letter)
+            out = out @ self.letters[letter]
         return out
 
+    def evaluate(self, word: Word) -> Matrix:
+        return self.image(word).to_matrix()
+
     def trace(self, word: Word) -> RatFunc:
-        return self.evaluate(word).trace()
+        return self.image(word).trace()
 
     # -- word sweeps -----------------------------------------------------
 
@@ -130,20 +140,22 @@ class RepTable:
         generators: Sequence[str] | None = None,
         degree_bound: int | None = None,
         include_identity: bool = False,
-    ) -> Iterator[tuple[Word, Matrix]]:
-        """(word, matrix) over the freely reduced ball, length-lex order.
+    ) -> Iterator[tuple[Word, FracMatrix]]:
+        """(word, image) over the freely reduced ball, length-lex order.
 
-        Products are shared along prefixes level by level.  The degree
-        guard aborts the sweep with DegreeGuardExceeded when any
-        intermediate entry outgrows the bound.
+        Images are fraction-free FracMatrix products, shared along
+        prefixes level by level.  The degree guard aborts the sweep with
+        DegreeGuardExceeded when any intermediate entry, reduced, outgrows
+        the bound.
         """
         gens = tuple(generators or self.free_generators)
+        identity = FracMatrix.identity(self.size)
         if include_identity:
-            yield Word(), self.identity_matrix()
-        level: dict[Word, Matrix] = {Word(): self.identity_matrix()}
+            yield Word(), identity
+        level: dict[Word, FracMatrix] = {Word(): identity}
         for _ in range(radius):
-            nxt: dict[Word, Matrix] = {}
-            for word, matrix in level.items():
+            nxt: dict[Word, FracMatrix] = {}
+            for word, image in level.items():
                 for name in gens:
                     for exp in (1, -1):
                         if word.letters and word.letters[-1] == (name, -exp):
@@ -151,10 +163,10 @@ class RepTable:
                         extended = Word(word.letters + ((name, exp),))
                         if len(extended) != len(word) + 1:
                             continue
-                        product = matrix @ self.letter_matrix((name, exp))
+                        product = image @ self.letters[(name, exp)]
                         if degree_bound is not None:
-                            deg = product.max_degree()
-                            if deg > degree_bound:
+                            deg = product.degree_over(degree_bound)
+                            if deg is not None:
                                 raise DegreeGuardExceeded(extended, deg, degree_bound)
                         nxt[extended] = product
             for word in sorted(nxt, key=lambda w: _lex_key(w, gens)):
@@ -166,8 +178,8 @@ class RepTable:
     ) -> list[tuple[Word, Value]]:
         """nu(trace) for every freely reduced word up to max_len."""
         out = []
-        for word, matrix in self.iter_ball(max_len, generators, include_identity=True):
-            out.append((word, self.valuation.of(matrix.trace())))
+        for word, image in self.iter_ball(max_len, generators, include_identity=True):
+            out.append((word, self.valuation.of(image.trace())))
         return out
 
 
@@ -238,7 +250,6 @@ def closed_point_verdict(
     rep: RepTable,
     radius: int = 6,
     degree_bound: int | None = 512,
-    threads: int = 1,
 ) -> Verdict:
     """Certified closed-point test, per the two sound routes.
 
@@ -251,8 +262,8 @@ def closed_point_verdict(
     cert = integrality_certificate(rep)
     if cert is not None:
         return NotClosedIntegral(cert)
-    for word, matrix in _class_representatives(rep, radius, degree_bound):
-        length = translation_length(matrix, rep.valuation, NORM_SUM)
+    for word, image in _class_representatives(rep, radius, degree_bound):
+        length = translation_length(image, rep.valuation, NORM_SUM)
         if length > 0:
             return ClosedPoint(word, length)
     return UnknownVerdict(radius)
@@ -260,30 +271,21 @@ def closed_point_verdict(
 
 def _class_representatives(
     rep: RepTable, radius: int, degree_bound: int | None
-) -> Iterator[tuple[Word, Matrix]]:
+) -> Iterator[tuple[Word, FracMatrix]]:
     gens = rep.free_generators
-    for word, matrix in rep.iter_ball(radius, degree_bound=degree_bound):
+    for word, image in rep.iter_ball(radius, degree_bound=degree_bound):
         if is_class_representative(word, gens):
-            yield word, matrix
+            yield word, image
 
 
 def sweep_translation_lengths(
     rep: RepTable,
     radius: int,
     degree_bound: int | None = 512,
-    threads: int = 1,
     generators: Sequence[str] | None = None,
 ) -> list[tuple[Word, Fraction]]:
-    """Translation length per conjugacy-class representative up to radius.
-
-    With threads > 1 the per-class computations run on a thread pool; the
-    result order stays the deterministic sweep order.
-    """
-    items = list(_class_representatives(rep, radius, degree_bound))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            lengths = list(
-                pool.map(lambda wm: translation_length(wm[1], rep.valuation, NORM_SUM), items)
-            )
-        return [(w, l) for (w, _), l in zip(items, lengths)]
-    return [(w, translation_length(m, rep.valuation, NORM_SUM)) for w, m in items]
+    """Translation length per conjugacy-class representative up to radius."""
+    return [
+        (w, translation_length(image, rep.valuation, NORM_SUM))
+        for w, image in _class_representatives(rep, radius, degree_bound)
+    ]

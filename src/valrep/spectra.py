@@ -5,7 +5,9 @@ polygons: the Jordan projection of g over (Q(X), nu) is the sorted vector
 of -nu(eigenvalue) values, read off the polygon of char_poly(g) without
 extracting any root.  For symplectic g the valuation multiset is
 symmetric under negation (eigenvalues pair as lambda, 1/lambda) and the
-Jordan vector is its nonnegative half.
+Jordan vector is its nonnegative half.  A word image arrives
+fraction-free, as a FracMatrix N/D; the polygon comes from char_poly(N)
+over Z[X] and nu(D), so no canonical Q(X) element is built on the way.
 
 Two norms aggregate a Jordan vector into a length: the Siegel-model sum
 of entries ("sum"), and the projective max-ratio spread ("spread").  The
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, SingularMatrixError
+from .linalg import FracMatrix, Matrix, SingularMatrixError
 from .valuation import NewtonPolygonResult, Valuation, newton_polygon
 
 NORM_SUM = "sum"
@@ -35,17 +37,34 @@ def char_poly(g: Matrix):
     return g.char_poly()
 
 
-def root_valuations(g: Matrix, val: Valuation) -> list[Fraction]:
+def char_poly_polygon(g: Matrix | FracMatrix, val: Valuation) -> NewtonPolygonResult:
+    """Newton polygon of char_poly(g) over (Q(X), nu), read fraction-free.
+
+    g is a FracMatrix N/D, or a Matrix over Q(X) that is first cleared to
+    one.  Only char_poly(N) is computed, over Z[X].  With a_k its T^k
+    coefficient and m the size, char_poly(N/D) has T^k coefficient
+    c_k = a_k / D^(m-k), so nu(c_k) = nu(a_k) - (m-k) nu(D).  That change
+    of the Newton points is affine in k: it moves every root valuation by
+    -nu(D), as the eigenvalues of N/D are those of N divided by D.
+    """
+    image = g if isinstance(g, FracMatrix) else FracMatrix.from_matrix(g)
+    polygon = newton_polygon(image.num.char_poly(), val)
+    shift = val.of(image.den)
+    return NewtonPolygonResult(
+        tuple((v - shift, m) for v, m in polygon.root_valuations), polygon.zero_roots
+    )
+
+
+def root_valuations(g: Matrix | FracMatrix, val: Valuation) -> list[Fraction]:
     """nu(lambda) for all eigenvalues of an invertible g, nondecreasing."""
-    p = g.char_poly()
-    if p.coefficient(0) == 0:
+    polygon = char_poly_polygon(g, val)
+    if polygon.zero_roots:
         raise SingularMatrixError("matrix is singular; Jordan data undefined")
-    result = newton_polygon(p, val)
-    return result.expanded()
+    return polygon.expanded()
 
 
 def jordan_valuation(
-    g: Matrix, val: Valuation, mode: str = "symplectic"
+    g: Matrix | FracMatrix, val: Valuation, mode: str = "symplectic"
 ) -> tuple[Fraction, ...]:
     """Jordan projection as -nu(eigenvalue) values, sorted nonincreasing.
 
@@ -69,7 +88,9 @@ def jordan_valuation(
     return tuple(slopes[:n])
 
 
-def translation_length(g: Matrix, val: Valuation, norm: str = NORM_SUM) -> Fraction:
+def translation_length(
+    g: Matrix | FracMatrix, val: Valuation, norm: str = NORM_SUM
+) -> Fraction:
     """Length of g on the building: sum of the Jordan vector, or its spread."""
     _check_norm(norm)
     if norm == NORM_SUM:

@@ -93,13 +93,20 @@ class Valuation:
         return cls("at_inf")
 
     def of(self, f) -> Value:
-        """nu(f); INFINITY exactly for f = 0."""
+        """nu(f); INFINITY exactly for f = 0.  A Poly is read in Q[X] or Z[X]."""
+        if isinstance(f, Poly):
+            return self._of_poly(f)
         f = RatFunc.coerce(f)
         if f.is_zero():
             return INFINITY
+        return self._of_poly(f.num) - self._of_poly(f.den)
+
+    def _of_poly(self, p: Poly) -> Value:
+        if p.is_zero():
+            return INFINITY
         if self.kind == "adic":
-            return Fraction(f.num.multiplicity_at(self.a) - f.den.multiplicity_at(self.a))
-        return Fraction(f.den.degree - f.num.degree)
+            return Fraction(p.multiplicity_at(self.a))
+        return Fraction(-p.degree)
 
     def spec_string(self) -> str:
         return f"adic:{self.a}" if self.kind == "adic" else "atinf"
@@ -193,7 +200,7 @@ class NewtonPolygonResult:
 
 
 def newton_polygon(p: Poly, val: Valuation) -> NewtonPolygonResult:
-    """Root-valuation multiset of p (coefficients in Q(X)) via the lower hull.
+    """Root-valuation multiset of p (coefficients in Q(X) or Z[X]) via the lower hull.
 
     Points (i, nu(c_i)) are taken over the nonzero coefficients; the lower
     convex hull's segment of slope s over horizontal extent m yields m
@@ -202,8 +209,7 @@ def newton_polygon(p: Poly, val: Valuation) -> NewtonPolygonResult:
     """
     if p.is_zero():
         raise ValueError("Newton polygon of the zero polynomial")
-    coeffs = [RatFunc.coerce(c) for c in p.coeffs]
-    points = [(i, val.of(c)) for i, c in enumerate(coeffs) if not c.is_zero()]
+    points = [(i, val.of(c)) for i, c in enumerate(p.coeffs) if c != 0]
     zero_roots = points[0][0]
     if len(points) == 1:
         return NewtonPolygonResult((), zero_roots)

@@ -173,6 +173,27 @@ def test_degree_guard_exit_code():
     assert body["error"]["code"] == "degree_guard"
 
 
+@pytest.mark.parametrize("maxlen", ["0", "-1"])
+def test_multicurve_rejects_nonpositive_maxlen(maxlen):
+    pants = '{"representation": "pants", "order": "plusinf"}'
+    report = run_cli("multicurve", "--json", pants, "--maxlen", maxlen, expect=2)
+    assert report["error"]["code"] == "input"
+
+
+SINGULAR_INPUTS = {
+    "distance": '{"g1": [["0","0"],["0","0"]], "g2": [["1","0"],["0","1"]]}',
+    "translength": '{"matrix": [["0","0"],["0","0"]]}',
+}
+
+
+@pytest.mark.parametrize("command", sorted(SINGULAR_INPUTS))
+def test_singular_matrix_is_an_input_error(command):
+    report = run_cli(
+        command, "--valuation", "adic:0", "--json", SINGULAR_INPUTS[command], expect=2
+    )
+    assert report["error"]["code"] == "input"
+
+
 def test_schema_error_exit_code():
     proc = subprocess.run(
         PY + ["translength", "--json", '{"matrix": [["X"], ["1", "2"]]}', "--valuation", "adic:0"],

@@ -143,10 +143,3 @@ def test_degree_guard_fires():
     rep = pants_rep(ORDER0)
     with pytest.raises(DegreeGuardExceeded):
         list(rep.iter_ball(4, degree_bound=2))
-
-
-def test_threaded_sweep_matches_sequential():
-    rep = pants_rep(ORDER0)
-    seq = sweep_translation_lengths(rep, radius=3, threads=1)
-    par = sweep_translation_lengths(rep, radius=3, threads=4)
-    assert seq == par
