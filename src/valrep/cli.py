@@ -179,14 +179,14 @@ def parse_valuation_flag(args, order: OrderSpec | None = None) -> Valuation:
     raise InputError("--valuation is required for this command")
 
 
-def matrix_from_json(value, what="matrix") -> Matrix:
+def matrix_from_json(value, what: str, max_degree: int) -> Matrix:
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
         raise InputError(f"{what} must be a JSON array of rows")
     width = len(value[0])
     if any(len(r) != width for r in value):
         raise InputError(f"{what} has ragged rows")
     try:
-        return Matrix([[parse_ratfunc(str(e)) for e in row] for row in value])
+        return Matrix([[parse_ratfunc(str(e), max_degree) for e in row] for row in value])
     except ParseError as err:
         raise InputError(f"bad expression in {what}: {err}")
 
@@ -195,7 +195,7 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
     return [[format_ratfunc(e) for e in row] for row in m.entries]
 
 
-def rep_from_json(data: dict) -> RepTable:
+def rep_from_json(data: dict, max_degree: int) -> RepTable:
     for key in ("presentation", "images", "order", "valuation"):
         if key not in data:
             raise InputError(f"representation JSON lacks {key!r}")
@@ -209,7 +209,7 @@ def rep_from_json(data: dict) -> RepTable:
         order = OrderSpec.from_spec_string(data["order"])
         valuation = Valuation.from_spec_string(data["valuation"])
         images = {
-            name: matrix_from_json(rows, f"image of {name}")
+            name: matrix_from_json(rows, f"image of {name}", max_degree)
             for name, rows in data["images"].items()
         }
         return RepTable(
@@ -229,8 +229,8 @@ def rep_from_args(args) -> RepTable:
         order = OrderSpec.from_spec_string(data.get("order", args.order or "aplus:0"))
         return pants_rep(order)
     if "representation" in data:
-        return rep_from_json(data["representation"])
-    return rep_from_json(data)
+        return rep_from_json(data["representation"], args.degree_bound)
+    return rep_from_json(data, args.degree_bound)
 
 
 def word_from_args(args, data: dict | None = None) -> Word:
@@ -327,7 +327,7 @@ def cmd_pants_demo(args) -> dict:
 def cmd_symplectic_check(args) -> dict:
     data = load_input(args)
     if "matrix" in data:
-        m = matrix_from_json(data["matrix"])
+        m = matrix_from_json(data["matrix"], "matrix", args.degree_bound)
         return {"symplectic": is_symplectic(m)}
     rep = rep_from_args(args)
     return {"symplectic": {name: True for name in sorted(rep.images)}}
@@ -343,7 +343,7 @@ def cmd_trace(args) -> dict:
 def _matrix_or_rep_word(args) -> tuple[Matrix | FracMatrix, Valuation]:
     data = load_input(args)
     if "matrix" in data:
-        m = matrix_from_json(data["matrix"])
+        m = matrix_from_json(data["matrix"], "matrix", args.degree_bound)
         order = OrderSpec.from_spec_string(args.order) if args.order else None
         valuation = parse_valuation_flag(args, order)
         return m, valuation
@@ -383,24 +383,24 @@ def cmd_closed_point(args) -> dict:
     }
 
 
-def _lagrangians_from_json(data: dict, count: int | None = None) -> list[Lagrangian]:
+def _lagrangians_from_json(data: dict, count: int, max_degree: int) -> list[Lagrangian]:
     if "lagrangians" not in data or not isinstance(data["lagrangians"], list):
         raise InputError("input needs a lagrangians array of 2n x n matrices")
     out = []
     for i, rows in enumerate(data["lagrangians"]):
-        m = matrix_from_json(rows, f"lagrangian {i}")
+        m = matrix_from_json(rows, f"lagrangian {i}", max_degree)
         try:
             out.append(Lagrangian.span(m))
         except ValueError as err:
             raise InputError(f"lagrangian {i}: {err}")
-    if count is not None and len(out) != count:
+    if len(out) != count:
         raise InputError(f"expected {count} lagrangians, got {len(out)}")
     return out
 
 
 def cmd_maslov(args) -> dict:
     data = load_input(args)
-    ls = _lagrangians_from_json(data, 3)
+    ls = _lagrangians_from_json(data, 3, args.degree_bound)
     order = OrderSpec.from_spec_string(args.order) if args.order else None
     value = maslov(ls[0], ls[1], ls[2], order)
     return {"maslov": value, "maximal": value == ls[0].n}
@@ -410,7 +410,7 @@ def cmd_crossratio(args) -> dict:
     from .symplectic import crossratio as lagrangian_crossratio
 
     data = load_input(args)
-    ls = _lagrangians_from_json(data, 4)
+    ls = _lagrangians_from_json(data, 4, args.degree_bound)
     value = lagrangian_crossratio(*ls)
     return {"crossratio": format_ratfunc(RatFunc.coerce(value))}
 
@@ -429,7 +429,9 @@ def cmd_maximality(args) -> dict:
         if label not in framing_data.get("images", {}):
             raise InputError(f"framing image missing for label {label!r}")
         images[label] = Lagrangian.span(
-            matrix_from_json(framing_data["images"][label], f"image of {label!r}")
+            matrix_from_json(
+                framing_data["images"][label], f"image of {label!r}", args.degree_bound
+            )
         )
     symmetries = None
     if "symmetries" in framing_data:
@@ -479,8 +481,8 @@ def cmd_distance(args) -> dict:
     data = load_input(args)
     if "g1" not in data or "g2" not in data:
         raise InputError("input needs matrices g1 and g2")
-    g1 = matrix_from_json(data["g1"], "g1")
-    g2 = matrix_from_json(data["g2"], "g2")
+    g1 = matrix_from_json(data["g1"], "g1", args.degree_bound)
+    g2 = matrix_from_json(data["g2"], "g2", args.degree_bound)
     order = OrderSpec.from_spec_string(args.order) if args.order else None
     valuation = parse_valuation_flag(args, order)
     value = building_pseudodistance(g1, g2, valuation, args.norm)

@@ -6,7 +6,8 @@ on a positively oriented quadruple (q1, q2, q3, q4) is
 
     [q1, q2, q3, q4] = -nu( CR(phi(q2), phi(q1), phi(q3), phi(q4)) ) / 2,
 
-with CR the projection-determinant crossratio.  The argument
+with CR the Lagrangian crossratio of `symplectic.crossratio` (defined by
+projections, computed from n x n pairing determinants).  The argument
 transposition and the factor 1/2 are the one normalization for which,
 exactly and not just asymptotically:
 

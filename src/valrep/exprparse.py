@@ -11,7 +11,8 @@ Grammar (integers, X, + - * / ^ and parentheses):
 '^' binds tighter than unary minus, so -X^2 parses as -(X^2).  Exponents
 are integers (negative allowed, giving Laurent-style input).  Syntax
 errors carry the offending position; dividing by a zero polynomial is
-reported as such.
+reported as such.  An optional degree bound rejects a power whose degree
+would exceed it before the power is built, so X^99999999 fails at once.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ class ParseError(ValueError):
 
 
 class _Tokenizer:
-    def __init__(self, text: str):
+    def __init__(self, text: str, max_degree: int | None = None):
         self.text = text
         self.pos = 0
+        self.max_degree = max_degree
 
     def peek(self) -> tuple[str, str, int]:
         pos = self.pos
@@ -60,9 +62,13 @@ class _Tokenizer:
         return kind, value, pos
 
 
-def parse_ratfunc(text: str) -> RatFunc:
-    """Parse an expression into canonical reduced form."""
-    tok = _Tokenizer(text)
+def parse_ratfunc(text: str, max_degree: int | None = None) -> RatFunc:
+    """Parse an expression into canonical reduced form.
+
+    With `max_degree`, a power base^k is rejected when |k| times the
+    degree of the base exceeds it.
+    """
+    tok = _Tokenizer(text, max_degree)
     value = _expr(tok)
     kind, _, pos = tok.peek()
     if kind != "end":
@@ -125,6 +131,11 @@ def _power(tok: _Tokenizer) -> RatFunc:
     exponent = -int(value) if negative else int(value)
     if exponent < 0 and base.is_zero():
         raise ParseError("negative power of zero", pos)
+    degree = abs(exponent) * base.degree
+    if tok.max_degree is not None and degree > tok.max_degree:
+        raise ParseError(
+            f"power of degree {degree} exceeds the degree bound {tok.max_degree}", pos
+        )
     return base ** exponent
 
 

@@ -16,7 +16,6 @@ Lagrangian.  Non-split dominant spectrum is reported, never approximated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Hashable, Iterator, Sequence
 
 from .linalg import Matrix
@@ -74,11 +73,6 @@ class FramingTable:
                 for k in range(j + 1, n):
                     yield (self.labels[i], self.labels[j], self.labels[k])
 
-    def apply_symmetry(self, word: Word, label: Label) -> Label:
-        if not self.symmetries or word not in self.symmetries:
-            raise KeyError(f"no symmetry listed for {word}")
-        return self.symmetries[word][label]
-
 
 @dataclass(frozen=True)
 class FramingReport:
@@ -116,16 +110,6 @@ def verify_maximal_framing(rep: RepTable, framing: FramingTable) -> FramingRepor
                     f"equivariance fails: {word} . {label!r} != {target!r}",
                 )
     return FramingReport(True, triples, checked)
-
-
-def eigenvalue_valuation_table(
-    g: Matrix, val: Valuation
-) -> list[tuple[Fraction, object, int]]:
-    """(valuation, eigenvalue, multiplicity) for the Q(X)-split part of spec(g)."""
-    roots, _ = linear_eigenvalues(g.char_poly())
-    table = [(val.of(root), root, mult) for root, mult in roots]
-    table.sort(key=lambda t: (t[0], str(t[1])))
-    return table
 
 
 def attracting_lagrangian(g: Matrix, val: Valuation) -> Lagrangian:

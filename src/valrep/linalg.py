@@ -232,10 +232,6 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def solve_columns(self, rhs: "Matrix") -> "Matrix":
-        """Solve self @ Y = rhs for square invertible self."""
-        return self.inverse() @ rhs
-
     def char_poly(self) -> Poly:
         """Monic characteristic polynomial det(T*I - A), lowest degree first.
 

@@ -37,11 +37,6 @@ class Poly:
     def constant(cls, c) -> "Poly":
         return cls((c,))
 
-    @classmethod
-    def x(cls, one=Fraction(1)) -> "Poly":
-        """The monomial X (or T), with the given multiplicative unit."""
-        return cls((one * 0, one))
-
     # -- structure ----------------------------------------------------
 
     @property

@@ -282,7 +282,6 @@ def sweep_translation_lengths(
     rep: RepTable,
     radius: int,
     degree_bound: int | None = 512,
-    generators: Sequence[str] | None = None,
 ) -> list[tuple[Word, Fraction]]:
     """Translation length per conjugacy-class representative up to radius."""
     return [

@@ -11,9 +11,20 @@ exact congruence diagonalization; sign decisions over Q(X) are delegated
 to an OrderSpec.  The orientation convention is fixed so that the n = 1
 triple span(1,0), span(1,1), span(0,1) has index +1.
 
+Write Omega(a, b) for the n x n matrix of pairings <a_i, b_j> between the
+basis columns of two Lagrangians.  l1 is transverse to l2 exactly when
+det Omega(l1, l2) != 0: a vector of l1 pairing to zero with all of l2
+lies in l2, since l2 is Lagrangian.
+
 The crossratio of a quadruple (l1 transverse l2, l3 transverse l4) is
-det(p_{l1}^{par l2} . p_{l3}^{par l4} restricted to l1); the determinant
-does not depend on the basis chosen for l1.
+defined as det(p_{l1}^{par l2} . p_{l3}^{par l4} restricted to l1), with
+p_{l1}^{par l2} = `projection_matrix(l1, l2)`; the determinant does not
+depend on the basis chosen for l1.  It is computed by the identity
+
+    CR(l1, l2, l3, l4) = det Omega(l2, l3) . det Omega(l4, l1)
+                         / (det Omega(l2, l1) . det Omega(l4, l3)),
+
+which needs only four n x n determinants.
 """
 
 from __future__ import annotations
@@ -159,17 +170,17 @@ class Lagrangian:
         return Lagrangian.span(g @ self.basis)
 
     def transverse(self, other: "Lagrangian") -> bool:
-        if self.n != other.n:
-            raise ValueError("Lagrangians live in different dimensions")
-        return self.basis.hstack(other.basis).rank() == 2 * self.n
+        return pairing_matrix(self, other).det() != 0
 
 
-def transverse(l1: Lagrangian, l2: Lagrangian) -> bool:
-    return l1.transverse(l2)
-
-
-def lagrangian_span(vectors: Matrix) -> Lagrangian:
-    return Lagrangian.span(vectors)
+def pairing_matrix(a: Lagrangian, b: Lagrangian) -> Matrix:
+    """Omega(a, b): the n x n matrix of pairings <a_i, b_j> of basis columns."""
+    if a.n != b.n:
+        raise ValueError("Lagrangians live in different dimensions")
+    b_cols = b.basis.transpose().entries
+    return Matrix(
+        [symplectic_pairing(u, v) for v in b_cols] for u in a.basis.transpose().entries
+    )
 
 
 def signature(sym: Matrix, order: OrderSpec | None = None) -> tuple[int, int, int]:
@@ -233,25 +244,15 @@ def signature(sym: Matrix, order: OrderSpec | None = None) -> tuple[int, int, in
 def maslov_gram(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> Matrix:
     """Gram matrix (up to a harmless global factor 2) of the Maslov form."""
     n = l1.n
-    if not (l2.n == n and l3.n == n):
-        raise ValueError("Lagrangians live in different dimensions")
-    b1, b2, b3 = l1.basis, l2.basis, l3.basis
-    zero = b1.zero_entry()
-
-    def pair_block(a: Matrix, b: Matrix) -> list[list]:
-        return [
-            [symplectic_pairing(a.column(i), b.column(j)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    m12 = pair_block(b1, b2)
-    m23 = pair_block(b2, b3)
-    m13 = pair_block(b1, b3)
+    zero = l1.basis.zero_entry()
+    m12 = pairing_matrix(l1, l2).entries
+    m23 = pairing_matrix(l2, l3).entries
+    m13 = pairing_matrix(l1, l3).entries
     rows = []
     for i in range(n):
-        rows.append([zero] * n + m12[i] + [-c for c in m13[i]])
+        rows.append([zero] * n + list(m12[i]) + [-c for c in m13[i]])
     for j in range(n):
-        rows.append([m12[i][j] for i in range(n)] + [zero] * n + m23[j])
+        rows.append([m12[i][j] for i in range(n)] + [zero] * n + list(m23[j]))
     for k in range(n):
         rows.append(
             [-m13[i][k] for i in range(n)]
@@ -301,19 +302,12 @@ def projection_matrix(onto: Lagrangian, parallel: Lagrangian) -> Matrix:
 def crossratio(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian, l4: Lagrangian):
     """det of p_{l1}^{par l2} . p_{l3}^{par l4} restricted to l1.
 
-    Needs l1 transverse l2 and l3 transverse l4.  The value is independent
-    of the basis of l1 (a change of basis conjugates the restriction).
+    Needs l1 transverse l2 and l3 transverse l4.  Computed from four
+    pairing determinants (see the module docstring); the two in the
+    denominator vanish exactly when a transversality fails.
     """
-    p12 = projection_matrix(l1, l2)
-    p34 = projection_matrix(l3, l4)
-    image = p12 @ p34 @ l1.basis
-    coords = _coordinates_in(l1.basis, image)
-    return coords.det()
-
-
-def _coordinates_in(basis: Matrix, vectors: Matrix) -> Matrix:
-    """Coordinates of `vectors` (columns, inside span(basis)) in `basis`."""
-    _, pivots = basis.transpose().rref()
-    square = basis.submatrix(pivots, range(basis.cols))
-    rhs = vectors.submatrix(pivots, range(vectors.cols))
-    return square.inverse() @ rhs
+    d21 = pairing_matrix(l2, l1).det()
+    d43 = pairing_matrix(l4, l3).det()
+    if d21 == 0 or d43 == 0:
+        raise TransversalityError("projection needs transverse Lagrangians")
+    return pairing_matrix(l2, l3).det() * pairing_matrix(l4, l1).det() / (d21 * d43)

@@ -87,3 +87,30 @@ def ratfunc_translation_length(matrix, valuation):
     values = newton_polygon(faddeev_leverrier(matrix), valuation).expanded()
     slopes = sorted((-v for v in values), reverse=True)
     return sum(slopes[: matrix.rows // 2], Fraction(0))
+
+
+def rank_transverse(l1, l2):
+    """l1 transverse l2 by the rank of the 2n x 2n matrix of both bases."""
+    return l1.basis.hstack(l2.basis).rank() == 2 * l1.n
+
+
+def projection_crossratio(l1, l2, l3, l4):
+    """det of p_{l1}^{par l2} . p_{l3}^{par l4} restricted to l1, by definition.
+
+    Builds both 2n x 2n projections and reads the restriction in the basis
+    of l1; transversality is tested by rank.
+    """
+    from valrep.symplectic import TransversalityError, projection_matrix
+
+    if not (rank_transverse(l1, l2) and rank_transverse(l3, l4)):
+        raise TransversalityError("projection needs transverse Lagrangians")
+    image = projection_matrix(l1, l2) @ projection_matrix(l3, l4) @ l1.basis
+    return _coordinates_in(l1.basis, image).det()
+
+
+def _coordinates_in(basis, vectors):
+    """Coordinates of `vectors` (columns, inside span(basis)) in `basis`."""
+    _, pivots = basis.transpose().rref()
+    square = basis.submatrix(pivots, range(basis.cols))
+    rhs = vectors.submatrix(pivots, range(vectors.cols))
+    return square.inverse() @ rhs

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -192,6 +193,26 @@ def test_singular_matrix_is_an_input_error(command):
         command, "--valuation", "adic:0", "--json", SINGULAR_INPUTS[command], expect=2
     )
     assert report["error"]["code"] == "input"
+
+
+def test_huge_exponent_is_rejected_at_once():
+    payload = '{"matrix": [["X^99999999","0"],["0","1"]]}'
+    started = time.monotonic()
+    report = run_cli("translength", "--valuation", "adic:0", "--json", payload, expect=2)
+    assert time.monotonic() - started < 2
+    assert report["error"]["code"] == "input"
+    assert "99999999" in report["error"]["message"] and "512" in report["error"]["message"]
+
+
+def test_degree_bound_admits_its_own_degree():
+    payload = '{"matrix": [["X^512","0"],["0","X^-512"]]}'
+    report = run_cli("translength", "--valuation", "adic:0", "--json", payload)
+    assert report["result"]["length"] == "512"
+    tight = run_cli(
+        "translength", "--valuation", "adic:0", "--json", payload, "--degree-bound", "511",
+        expect=2,
+    )
+    assert tight["error"]["code"] == "input"
 
 
 def test_schema_error_exit_code():

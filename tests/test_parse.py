@@ -71,3 +71,12 @@ def test_division_by_zero_polynomial():
     with pytest.raises(ParseError) as err:
         parse_ratfunc("1/(X-X)")
     assert "zero polynomial" in str(err.value)
+
+
+def test_degree_bound_on_powers():
+    assert parse_ratfunc("X^4", max_degree=4) == X ** 4
+    assert parse_ratfunc("(X^2+1)^-2", max_degree=4) == ONE / (X ** 2 + 1) ** 2
+    for text, degree in (("X^5", 5), ("(X^2)^3", 6), ("(1/X^2)^-3", 6), ("X^99999999", 99999999)):
+        with pytest.raises(ParseError, match=f"degree {degree} exceeds the degree bound 4"):
+            parse_ratfunc(text, max_degree=4)
+    assert parse_ratfunc("X^5") == X ** 5
