@@ -61,6 +61,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     started = time.monotonic()
     try:
+        if args.degree_bound < 0:
+            raise InputError(f"--degree-bound must be >= 0, got {args.degree_bound}")
         result = args.handler(args)
     except InputError as err:
         _emit({"schema": SCHEMA, "error": {"code": "input", "message": str(err)}})

@@ -10,12 +10,19 @@ for every entry ring here.
 A `FracMatrix` holds a matrix over Q(X) as N/D: N with integer-polynomial
 entries, D one integer polynomial.  Multiplying two of them multiplies
 the N and the D and needs no gcd, which is what word sweeps do most.
+Each entry of N is Kronecker-packed (Harvey 2009) into one Python int,
+its value at X = 2^b, so a product of N's is n^3 big-int products and
+sums with no Poly built.  The digits are balanced (every |coefficient|
+below 2^(b-1)), which makes an entry's degree exact from its bit length
+alone: a leading digit at position k puts |N_ij(2^b)| strictly between
+2^(kb-1) and 2^((k+1)b-1), so deg N_ij = bit_length // b.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .fields import RatFunc
@@ -292,22 +299,44 @@ def _sum(terms: Sequence):
 
 
 class FracMatrix:
-    """A square matrix over Q(X) kept as N/D, fraction-free.
+    """A square matrix over Q(X) kept as N/D, fraction-free and Kronecker-packed.
 
-    N is a Matrix whose entries are Polys with integer coefficients and D
-    is one nonzero integer Poly.  Nothing is reduced: a product is
-    (N1 @ N2) / (D1 * D2), and canonical RatFunc entries are built only by
-    `to_matrix()` and `trace()`.
+    N has integer-polynomial entries and D is one nonzero integer Poly.
+    Each entry N_ij is stored as the Python int N_ij(2^b) (Kronecker
+    substitution, Harvey 2009): its coefficients are the balanced base-2^b
+    digits of that int, each of absolute value below 2^(b-1).  Beside the
+    packed entries the matrix keeps the width b, a bound M on every
+    |coefficient| and a bound L on every coefficient count.  The width is
+    the least of 64, 128, 256, ... with 2nM < 2^b, so that a sum of n
+    entries (a diagonal, for the trace) still has balanced digits.
+
+    Nothing is reduced: a product is (N1 @ N2) / (D1 * D2), computed as n^3
+    int products and sums with no Poly built, and canonical RatFunc
+    entries are built only by `to_matrix()` and `trace()`.  `num` unpacks
+    N on demand.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("packed", "den", "width", "bound", "length")
 
-    def __init__(self, num: Matrix, den: Poly):
-        object.__setattr__(self, "num", num)
+    def __init__(self, packed: tuple, den: Poly, width: int, bound: int, length: int):
+        object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "length", length)
 
     def __setattr__(self, name, value):
         raise AttributeError("FracMatrix is immutable")
+
+    @classmethod
+    def from_polys(cls, rows: Sequence[Sequence[Poly]], den: Poly) -> "FracMatrix":
+        """Pack a square matrix N of integer Polys over the denominator D."""
+        polys = [p for row in rows for p in row]
+        bound = max((abs(c) for p in polys for c in p.coeffs), default=0)
+        length = max(1, max(len(p.coeffs) for p in polys))
+        width = _width(len(rows) * bound, PACK_WIDTH)
+        packed = tuple(tuple(_pack(p, width) for p in row) for row in rows)
+        return cls(packed, den, width, bound, length)
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "FracMatrix":
@@ -323,22 +352,43 @@ class FracMatrix:
         for p in [den] + [p for row in nums for p in row]:
             for c in p.coeffs:
                 scale = lcm(scale, c.denominator)
-        return cls(
-            Matrix([[_integral(p, scale) for p in row] for row in nums]),
-            _integral(den, scale),
+        return cls.from_polys(
+            [[_integral(p, scale) for p in row] for row in nums], _integral(den, scale)
         )
 
     @classmethod
     def identity(cls, n: int) -> "FracMatrix":
-        one = Poly((1,))
-        return cls(Matrix.identity(n, one), one)
+        packed = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return cls(packed, Poly((1,)), _width(n, PACK_WIDTH), 1, 1)
 
     @property
     def rows(self) -> int:
-        return self.num.rows
+        return len(self.packed)
+
+    @property
+    def num(self) -> Matrix:
+        """N as a Matrix of integer Polys, unpacked."""
+        return Matrix([_unpack(v, self.width) for v in row] for row in self.packed)
 
     def __matmul__(self, other: "FracMatrix") -> "FracMatrix":
-        return FracMatrix(self.num @ other.num, self.den * other.den)
+        n = len(self.packed)
+        bound = n * min(self.length, other.length) * self.bound * other.bound
+        width = _width(n * bound, max(self.width, other.width))
+        left, right = self._at_width(width).packed, other._at_width(width).packed
+        cols = tuple(zip(*right))
+        packed = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in left)
+        return FracMatrix(
+            packed, self.den * other.den, width, bound, self.length + other.length - 1
+        )
+
+    def _at_width(self, width: int) -> "FracMatrix":
+        """The same matrix repacked at a larger width."""
+        if width == self.width:
+            return self
+        packed = tuple(
+            tuple(_pack(_unpack(v, self.width), width) for v in row) for row in self.packed
+        )
+        return FracMatrix(packed, self.den, width, self.bound, self.length)
 
     def to_matrix(self) -> Matrix:
         """The canonical matrix over Q(X)."""
@@ -346,7 +396,8 @@ class FracMatrix:
         return Matrix([RatFunc(_rational(p), den) for p in row] for row in self.num.entries)
 
     def trace(self) -> RatFunc:
-        return RatFunc(_rational(self.num.trace()), _rational(self.den))
+        diagonal = sum(row[i] for i, row in enumerate(self.packed))
+        return RatFunc(_rational(_unpack(diagonal, self.width)), _rational(self.den))
 
     def degree_over(self, bound: int) -> int | None:
         """Largest degree of a reduced entry N_ij/D if it exceeds bound, else None.
@@ -354,22 +405,63 @@ class FracMatrix:
         The degree of a reduced entry is max(deg num, deg den, 0), as in
         RatFunc.degree.  Reduction never raises a degree, so an entry
         needs its gcd only when max(deg N_ij, deg D) already exceeds the
-        bound.
+        bound.  deg N_ij is read from the packed int alone: a nonzero v
+        with balanced digits and leading digit at position k has
+        2^(kb-1) < |v| < 2^((k+1)b-1), so k = bit_length(|v|) // b.
         """
         dd = self.den.degree
+        if max(self.length - 1, dd) <= bound:
+            return None
+        width = self.width
         worst = None
-        for row in self.num.entries:
-            for p in row:
-                if max(p.degree, dd) <= bound:
+        for row in self.packed:
+            for v in row:
+                dn = _packed_degree(v, width)
+                if max(dn, dd) <= bound:
                     continue
-                if p.is_zero():
+                if not v:
                     deg = 0
                 else:
-                    g = gcd(p, self.den).degree
-                    deg = max(p.degree - g, dd - g, 0)
+                    g = gcd(_unpack(v, width), self.den).degree
+                    deg = max(dn - g, dd - g, 0)
                 if deg > bound and (worst is None or deg > worst):
                     worst = deg
         return worst
+
+
+PACK_WIDTH = 64  # the starting Kronecker width b, in bits
+
+
+def _width(bound: int, width: int) -> int:
+    """The least width * 2^k whose balanced digits hold |coefficients| <= bound."""
+    while 2 * bound >= 1 << width:
+        width *= 2
+    return width
+
+
+def _pack(p: Poly, width: int) -> int:
+    """p(2^width), for integer coefficients below 2^(width-1) in absolute value."""
+    v = 0
+    for c in reversed(p.coeffs):
+        v = (v << width) + c
+    return v
+
+
+def _unpack(v: int, width: int) -> Poly:
+    """The integer Poly whose balanced base-2^width digits make up v."""
+    mask, half, out = (1 << width) - 1, 1 << (width - 1), []
+    for _ in range(_packed_degree(v, width) + 1):
+        digit = v & mask
+        if digit >= half:
+            digit -= 1 << width
+        out.append(digit)
+        v = (v - digit) >> width
+    return Poly(out)
+
+
+def _packed_degree(v: int, width: int) -> int:
+    """deg p for v = p(2^width) with balanced digits; -1 for v = 0."""
+    return abs(v).bit_length() // width if v else -1
 
 
 def _integral(p: Poly, scale: int) -> Poly:

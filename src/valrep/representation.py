@@ -9,11 +9,14 @@ first witness equal to the length-lexicographic first one.
 
 Word images are fraction-free: each generator and inverse is cleared
 once to a FracMatrix N/D (N over Z[X], D in Z[X]), and a product is
-(N1 @ N2) / (D1 * D2), with no gcd.  Canonical Q(X) matrices are built
-only where a caller asks for one (`evaluate`, `trace`).  The degree guard
+(N1 @ N2) / (D1 * D2), with no gcd.  Each entry of N is packed into one
+Python int, its value at X = 2^b with balanced base-2^b digits, so N1 @ N2
+is a product of int matrices.  Canonical Q(X) matrices are built only
+where a caller asks for one (`evaluate`, `trace`).  The degree guard
 measures the largest degree of a *reduced* entry, as if each entry were
 canonical; since reduction never raises a degree, an entry needs its gcd
-only when max(deg N_ij, deg D) exceeds the bound.
+only when max(deg N_ij, deg D) exceeds the bound, and deg N_ij is read
+exactly from the packed int's bit length (see `linalg.FracMatrix`).
 
 Closed-point verdicts follow the two sound routes: an integrality
 certificate (all generator entries in the valuation ring forces every

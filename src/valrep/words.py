@@ -174,25 +174,39 @@ def conjugacy_key(word: Word, generators: Sequence[str]) -> tuple:
     """Canonical key of the conjugacy class of word and its inverse.
 
     Cyclic reduction followed by the lex-least rotation among the word's
-    rotations and its inverse's rotations.
+    rotations and its inverse's rotations, all as tuples of letter indices
+    (see `_index_key`).
     """
-    core = word.cyclic_reduction()
-    index = {letter: i for i, letter in enumerate(letter_alphabet(generators))}
-    candidates = []
-    for w in core.rotations():
-        candidates.append(tuple(index[l] for l in w.letters))
-    for w in core.inverse().rotations():
-        candidates.append(tuple(index[l] for l in w.letters))
-    return min(candidates) if candidates else ()
+    key = _index_key(word, generators)
+    while len(key) >= 2 and key[0] == key[-1] ^ 1:
+        key = key[1:-1]
+    return min(_rotations(key), default=())
 
 
 def is_class_representative(word: Word, generators: Sequence[str]) -> bool:
     """True when `word` is the length-lex first member of its class."""
-    if not word.is_cyclically_reduced():
-        return False
+    key = _index_key(word, generators)
+    if len(key) >= 2 and key[0] == key[-1] ^ 1:
+        return False  # not cyclically reduced
+    return not any(rot < key for rot in _rotations(key))
+
+
+def _index_key(word: Word, generators: Sequence[str]) -> tuple[int, ...]:
+    """Letters as indices into letter_alphabet: c -> 2i, c^-1 -> 2i + 1.
+
+    The inverse of a letter index k is k ^ 1, so a word's inverse is the
+    reversed tuple with every index flipped.
+    """
     index = {letter: i for i, letter in enumerate(letter_alphabet(generators))}
-    key = tuple(index[l] for l in word.letters)
-    return key == conjugacy_key(word, generators)
+    return tuple(index[l] for l in word.letters)
+
+
+def _rotations(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every rotation of a cyclically reduced key and of its inverse."""
+    inverse = tuple(k ^ 1 for k in reversed(key))
+    for k in (key, inverse):
+        for i in range(len(k)):
+            yield k[i:] + k[:i]
 
 
 def is_power_of_class(word: Word, base: Word, generators: Sequence[str]) -> bool:

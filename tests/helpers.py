@@ -45,39 +45,77 @@ def faddeev_leverrier(m):
     return Poly(coeffs)
 
 
-def ratfunc_ball(rep, radius, degree_bound=None):
-    """(word, matrix) over the freely reduced ball by canonical Q(X) products.
+def _oracle_ball(rep, radius, identity, letters, product, guard=None):
+    """(word, image) over the freely reduced ball, products shared level by level.
 
     Length-lex order over the free generators (g before g^-1, generators
-    in their listed order); the degree guard reads the reduced entries.
+    in their listed order); `letters` maps (name, +-1) to its image and
+    `guard(word, image)` sees every product.
     """
-    from valrep.representation import DegreeGuardExceeded
-    from valrep.symplectic import symplectic_inverse
     from valrep.words import Word
 
     gens = rep.free_generators
-    letters = {}
-    for name in gens:
-        letters[(name, 1)] = rep.images[name]
-        letters[(name, -1)] = symplectic_inverse(rep.images[name])
     rank = {letter: i for i, letter in enumerate((g, e) for g in gens for e in (1, -1))}
-    level = {Word(): rep.identity_matrix()}
+    level = {Word(): identity}
     for _ in range(radius):
         nxt = {}
-        for word, matrix in level.items():
-            for letter in letters:
+        for word, image in level.items():
+            for letter in rank:
                 if word.letters and word.letters[-1] == (letter[0], -letter[1]):
                     continue
-                product = matrix @ letters[letter]
                 extended = Word(word.letters + (letter,))
-                if degree_bound is not None:
-                    deg = product.max_degree()
-                    if deg > degree_bound:
-                        raise DegreeGuardExceeded(extended, deg, degree_bound)
-                nxt[extended] = product
+                nxt[extended] = product(image, letters[letter])
+                if guard is not None:
+                    guard(extended, nxt[extended])
         for word in sorted(nxt, key=lambda w: [rank[l] for l in w.letters]):
             yield word, nxt[word]
         level = nxt
+
+
+def ratfunc_ball(rep, radius, degree_bound=None):
+    """(word, matrix) over the freely reduced ball by canonical Q(X) products.
+
+    The degree guard reads the reduced entries.
+    """
+    from valrep.representation import DegreeGuardExceeded
+    from valrep.symplectic import symplectic_inverse
+
+    letters = {}
+    for name in rep.free_generators:
+        letters[(name, 1)] = rep.images[name]
+        letters[(name, -1)] = symplectic_inverse(rep.images[name])
+
+    def guard(word, matrix):
+        deg = matrix.max_degree()
+        if degree_bound is not None and deg > degree_bound:
+            raise DegreeGuardExceeded(word, deg, degree_bound)
+
+    return _oracle_ball(rep, radius, rep.identity_matrix(), letters, lambda a, b: a @ b, guard)
+
+
+def poly_matrix_product(a, b):
+    """Schoolbook product of two square matrices (row lists) of integer Polys."""
+    n = len(a)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(n)), Poly()) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def poly_matrix_ball(rep, radius):
+    """(word, (N rows, D)) over the freely reduced ball by Poly-matrix products.
+
+    Starts from the cleared generator images N/D and multiplies N's
+    entrywise with `poly_matrix_product` and D's as Polys.
+    """
+    letters = {letter: (image.num.entries, image.den) for letter, image in rep.letters.items()}
+    n = rep.size
+    identity = ([[Poly((int(i == j),)) for j in range(n)] for i in range(n)], Poly((1,)))
+
+    def product(x, y):
+        return poly_matrix_product(x[0], y[0]), x[1] * y[1]
+
+    return _oracle_ball(rep, radius, identity, letters, product)
 
 
 def ratfunc_translation_length(matrix, valuation):
@@ -114,3 +152,36 @@ def _coordinates_in(basis, vectors):
     square = basis.submatrix(pivots, range(basis.cols))
     rhs = vectors.submatrix(pivots, range(vectors.cols))
     return square.inverse() @ rhs
+
+
+def rotation_conjugacy_key(word, generators):
+    """conjugacy_key by definition: least index tuple over the rotation Words.
+
+    Cyclic reduction, then every rotation of the core and of its inverse,
+    each built as a freely reduced Word.
+    """
+    from valrep.words import letter_alphabet
+
+    core = word.cyclic_reduction()
+    index = {letter: i for i, letter in enumerate(letter_alphabet(generators))}
+    candidates = []
+    for w in core.rotations():
+        candidates.append(tuple(index[l] for l in w.letters))
+    for w in core.inverse().rotations():
+        candidates.append(tuple(index[l] for l in w.letters))
+    return min(candidates) if candidates else ()
+
+
+def rotation_is_class_representative(word, generators, key=None):
+    """is_class_representative by definition: cyclically reduced and equal to its key.
+
+    `key`, when given, is the word's rotation_conjugacy_key, already computed.
+    """
+    from valrep.words import letter_alphabet
+
+    if not word.is_cyclically_reduced():
+        return False
+    if key is None:
+        key = rotation_conjugacy_key(word, generators)
+    index = {letter: i for i, letter in enumerate(letter_alphabet(generators))}
+    return tuple(index[l] for l in word.letters) == key

@@ -215,6 +215,22 @@ def test_degree_bound_admits_its_own_degree():
     assert tight["error"]["code"] == "input"
 
 
+NEGATIVE_BOUND_CASES = {
+    "multicurve": ("--json", '{"representation": "pants", "order": "aplus:0"}'),
+    "translength": ("--valuation", "adic:0", "--json", '{"matrix": [["2^3","0"],["0","1/8"]]}'),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_BOUND_CASES))
+def test_negative_degree_bound_is_an_input_error(command):
+    args = NEGATIVE_BOUND_CASES[command]
+    report = run_cli(command, *args, "--degree-bound", "-1", expect=2)
+    assert report["error"]["code"] == "input"
+    assert report["error"]["message"] == "--degree-bound must be >= 0, got -1"
+    if command == "translength":  # a bound of 0 is still a bound
+        assert run_cli(command, *args, "--degree-bound", "0")["result"]["length"] == "0"
+
+
 def test_schema_error_exit_code():
     proc = subprocess.run(
         PY + ["translength", "--json", '{"matrix": [["X"], ["1", "2"]]}', "--valuation", "adic:0"],

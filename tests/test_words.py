@@ -13,6 +13,8 @@ from valrep.words import (
     words_of_length,
 )
 
+from helpers import rotation_conjugacy_key, rotation_is_class_representative
+
 
 def test_free_reduction():
     w = parse_word("c1 c1^-1 c2")
@@ -84,3 +86,14 @@ def test_parse_rejects_garbage():
         parse_word("c1^")
     with pytest.raises(ValueError):
         parse_word("3x")
+
+
+@pytest.mark.parametrize("generators", [("a", "b"), ("a", "b", "c")])
+def test_index_tuple_keys_match_rotation_words(generators):
+    # every freely reduced word up to length 7, identity included
+    for w in word_ball(generators, 7, include_identity=True):
+        key = rotation_conjugacy_key(w, generators)
+        assert conjugacy_key(w, generators) == key, w
+        assert is_class_representative(w, generators) == (
+            rotation_is_class_representative(w, generators, key)
+        ), w
