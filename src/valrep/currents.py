@@ -19,6 +19,18 @@ exactly and not just asymptotically:
     translation length (in the diagonal model the raw determinant is the
     squared product of the dominant eigenvalues, independent of x).
 
+Only the valuation of CR is needed, and nu(fg) = nu(f) + nu(g) for both
+supported valuations, so with d(a, b) = nu det Omega(phi(a), phi(b)),
+
+    nu CR(phi(q2), phi(q1), phi(q3), phi(q4))
+        = d(q1, q3) + d(q4, q2) - d(q1, q2) - d(q4, q3),
+
+and no quotient over Q(X) is formed.  Since det Omega(b, a) =
+(-1)^n det Omega(a, b), d depends only on the unordered pair of labels,
+and each label occurs once above and once below the line, so basis
+scalings cancel.  A quadruple is evaluable when all four determinants
+are nonzero.
+
 Periods are computed by default through translation lengths (total, no
 framing needed); framing-based periods cross-validate them.  Multicurve
 certificates report the least K with all sampled periods in (1/K)Z.
@@ -35,8 +47,8 @@ from .fields import OrderSpec, RatFunc
 from .framing import FramingTable
 from .representation import RepTable
 from .spectra import NORM_SUM, translation_length
-from .symplectic import crossratio as lagrangian_crossratio
-from .valuation import Valuation
+from .symplectic import TransversalityError, pairing_matrix
+from .valuation import INFINITY, Valuation, Value
 from .words import Word, is_class_representative, is_power_of_class, word_ball
 
 Label = Hashable
@@ -58,18 +70,41 @@ class FramingCrossratio:
         return self.framing.labels
 
     def defined(self, quad: Sequence[Label]) -> bool:
-        if not self.framing.is_positively_oriented(quad):
-            return False
-        q1, q2, q3, q4 = (self.framing.image(q) for q in quad)
-        return q2.transverse(q1) and q3.transverse(q4)
+        return self.evaluate(quad) is not None
 
     def value(self, quad: Sequence[Label]) -> Fraction:
         if not self.framing.is_positively_oriented(quad):
             raise OrientationError(f"quadruple {quad} is not positively oriented")
-        q1, q2, q3, q4 = (self.framing.image(q) for q in quad)
-        cr = lagrangian_crossratio(q2, q1, q3, q4)
-        v = self.valuation.of(cr)
-        return -v / 2
+        value = self.evaluate(quad)
+        if value is None:
+            raise TransversalityError(f"quadruple {tuple(quad)} has a non-transverse pair")
+        return value
+
+    def evaluate(self, quad: Sequence[Label], dets: dict | None = None) -> Fraction | None:
+        """The value on quad, or None where it is not defined.
+
+        `dets` maps each unordered label pair (a frozenset) to nu det Omega
+        of its images; pass one dict to share the determinants between
+        the quadruples of one computation.
+        """
+        if not self.framing.is_positively_oriented(quad):
+            return None
+        if dets is None:
+            dets = {}
+        q1, q2, q3, q4 = quad
+        top = self._nu_det(q1, q3, dets) + self._nu_det(q4, q2, dets)
+        bottom = self._nu_det(q1, q2, dets) + self._nu_det(q4, q3, dets)
+        if top is INFINITY or bottom is INFINITY:
+            return None
+        return (bottom - top) / 2
+
+    def _nu_det(self, a: Label, b: Label, dets: dict) -> Value:
+        key = frozenset((a, b))
+        nu = dets.get(key)
+        if nu is None:
+            image = self.framing.image
+            nu = dets[key] = self.valuation.of(pairing_matrix(image(a), image(b)).det())
+        return nu
 
 
 class TableCrossratio:
@@ -84,6 +119,10 @@ class TableCrossratio:
 
     def value(self, quad: Sequence[Label]) -> Fraction:
         return self.table[tuple(quad)]
+
+    def evaluate(self, quad: Sequence[Label], dets: dict | None = None) -> Fraction | None:
+        """The tabled value, or None; a table needs no determinants."""
+        return self.table.get(tuple(quad))
 
 
 def crossratio_value(
@@ -348,22 +387,25 @@ def crossratio_axiom_check(cr, quintuples: Sequence[Sequence[Label]]) -> AxiomRe
     Each positively oriented 5-tuple (x1..x5) contributes the three
     quadruples of the additivity identity
     [x1,x2,x4,x5] = [x1,x2,x3,x5] + [x1,x3,x4,x5], and each evaluable
-    quadruple is checked for [q1,q2,q3,q4] = [q3,q4,q1,q2].
+    quadruple is checked for [q1,q2,q3,q4] = [q3,q4,q1,q2].  Each
+    quadruple is evaluated once, through `cr.evaluate`, and the pairing
+    determinants are shared through one table that lives for this call.
     """
+    dets = {}
     sym = add = 0
     for quint in quintuples:
         x1, x2, x3, x4, x5 = quint
         quads = [(x1, x2, x4, x5), (x1, x2, x3, x5), (x1, x3, x4, x5)]
         values = []
         for quad in quads:
-            if not cr.defined(quad):
+            value = cr.evaluate(quad, dets)
+            if value is None:
                 values = None
                 break
-            value = cr.value(quad)
-            flipped = (quad[2], quad[3], quad[0], quad[1])
-            if cr.defined(flipped):
+            flipped = cr.evaluate((quad[2], quad[3], quad[0], quad[1]), dets)
+            if flipped is not None:
                 sym += 1
-                if cr.value(flipped) != value:
+                if flipped != value:
                     return AxiomReport(False, sym, add, f"symmetry fails on {quad}")
             values.append(value)
         if values is None:

@@ -36,7 +36,7 @@ from .linalg import FracMatrix, Matrix
 from .spectra import NORM_SUM, translation_length
 from .symplectic import SymplecticForm, is_symplectic, symplectic_inverse
 from .valuation import Valuation, Value
-from .words import Word, is_class_representative, word_ball, words_of_length
+from .words import Word, is_class_representative, letter_alphabet
 
 
 class RepresentationError(ValueError):
@@ -152,6 +152,8 @@ class RepTable:
         the bound.
         """
         gens = tuple(generators or self.free_generators)
+        alphabet = letter_alphabet(gens)
+        rank = {letter: i for i, letter in enumerate(alphabet)}
         identity = FracMatrix.identity(self.size)
         if include_identity:
             yield Word(), identity
@@ -159,20 +161,18 @@ class RepTable:
         for _ in range(radius):
             nxt: dict[Word, FracMatrix] = {}
             for word, image in level.items():
-                for name in gens:
-                    for exp in (1, -1):
-                        if word.letters and word.letters[-1] == (name, -exp):
-                            continue
-                        extended = Word(word.letters + ((name, exp),))
-                        if len(extended) != len(word) + 1:
-                            continue
-                        product = image @ self.letters[(name, exp)]
-                        if degree_bound is not None:
-                            deg = product.degree_over(degree_bound)
-                            if deg is not None:
-                                raise DegreeGuardExceeded(extended, deg, degree_bound)
-                        nxt[extended] = product
-            for word in sorted(nxt, key=lambda w: _lex_key(w, gens)):
+                last = word.letters[-1] if word.letters else None
+                for name, exp in alphabet:
+                    if last == (name, -exp):
+                        continue
+                    extended = Word.from_reduced(word.letters + ((name, exp),))
+                    product = image @ self.letters[(name, exp)]
+                    if degree_bound is not None:
+                        deg = product.degree_over(degree_bound)
+                        if deg is not None:
+                            raise DegreeGuardExceeded(extended, deg, degree_bound)
+                    nxt[extended] = product
+            for word in sorted(nxt, key=lambda w: tuple(rank[l] for l in w.letters)):
                 yield word, nxt[word]
             level = nxt
 
@@ -184,14 +184,6 @@ class RepTable:
         for word, image in self.iter_ball(max_len, generators, include_identity=True):
             out.append((word, self.valuation.of(image.trace())))
         return out
-
-
-def _lex_key(word: Word, gens: Sequence[str]) -> tuple:
-    index = {}
-    for i, g in enumerate(gens):
-        index[(g, 1)] = 2 * i
-        index[(g, -1)] = 2 * i + 1
-    return tuple(index[l] for l in word.letters)
 
 
 # -- closed-point verdicts ---------------------------------------------------

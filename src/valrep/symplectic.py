@@ -5,16 +5,23 @@ x2.y1, i.e. the Gram matrix J = [[0, I], [-I, 0]].  Lagrangians are
 n-dimensional isotropic subspaces, stored in a reduced column echelon
 canonical form so that equality is structural.
 
-The Maslov index of a triple of Lagrangians is the signature of the
-quadratic form (x1,x2,x3) -> <x1,x2> + <x2,x3> + <x3,x1>, computed by
-exact congruence diagonalization; sign decisions over Q(X) are delegated
-to an OrderSpec.  The orientation convention is fixed so that the n = 1
-triple span(1,0), span(1,1), span(0,1) has index +1.
-
 Write Omega(a, b) for the n x n matrix of pairings <a_i, b_j> between the
 basis columns of two Lagrangians.  l1 is transverse to l2 exactly when
 det Omega(l1, l2) != 0: a vector of l1 pairing to zero with all of l2
 lies in l2, since l2 is Lagrangian.
+
+The Maslov index of a triple of Lagrangians is the signature of the
+quadratic form (x1,x2,x3) -> <x1,x2> + <x2,x3> + <x3,x1>; sign decisions
+over Q(X) are delegated to an OrderSpec.  When l1 is transverse to l3 it
+is the signature of the n x n symmetric form
+
+    Q = Omega(l2, l3) . Omega(l1, l3)^-1 . Omega(l1, l2)
+
+(derivation at `maslov`); otherwise a cyclic rotation of the triple with a
+transverse first and last member is used, and only a triple with no
+transverse pair diagonalizes the 3n x 3n Gram matrix `maslov_gram`.  The
+orientation convention is fixed so that the n = 1 triple span(1,0),
+span(1,1), span(0,1) has index +1.
 
 The crossratio of a quadruple (l1 transverse l2, l3 transverse l4) is
 defined as det(p_{l1}^{par l2} . p_{l3}^{par l4} restricted to l1), with
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import OrderSpec, element_sign
-from .linalg import Matrix
+from .linalg import Matrix, SingularMatrixError
 
 
 class IsotropyError(ValueError):
@@ -225,13 +232,16 @@ def signature(sym: Matrix, order: OrderSpec | None = None) -> tuple[int, int, in
                 sym_add(a, b)
                 if a != i:
                     sym_swap(i, a)
+        # only the trailing block k, l > i is read again: replace it by
+        # its Schur complement m_kl - m_ki m_il / m_ii
         pivot = m[i][i]
+        top = m[i]
         for k in range(i + 1, size):
-            if m[k][i] != 0:
-                f = m[k][i] / pivot
-                m[k] = [x - f * y for x, y in zip(m[k], m[i])]
-                for row in m:
-                    row[k] = row[k] - f * row[i]
+            row = m[k]
+            if row[i] != 0:
+                f = row[i] / pivot
+                for l in range(i + 1, size):
+                    row[l] = row[l] - f * top[l]
         s = element_sign(pivot, order)
         if s > 0:
             pos += 1
@@ -265,8 +275,33 @@ def maslov_gram(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> Matrix:
 def maslov(
     l1: Lagrangian, l2: Lagrangian, l3: Lagrangian, order: OrderSpec | None = None
 ) -> int:
-    """Signature of the Maslov quadratic form on l1 x l2 x l3; in [-n, n]."""
-    pos, neg, _ = signature(maslov_gram(l1, l2, l3), order)
+    """Signature of the Maslov quadratic form on l1 x l2 x l3; in [-n, n].
+
+    With A = Omega(l1, l2), B = Omega(l2, l3) and C = Omega(l1, l3), the
+    form's Gram matrix (`maslov_gram`) is
+
+        G = [[0, A, -C], [A^T, 0, B], [-C^T, B^T, 0]].
+
+    When l1 is transverse to l3, C is invertible, and so is the block
+    M = [[0, -C], [-C^T, 0]] of G on l1 x l3, with inverse
+    [[0, -C^-T], [-C^-1, 0]].  M has signature 0: with P = diag(I, -C^-1),
+    P^T M P = [[0, I], [I, 0]].  Completing the square against M leaves
+    the Schur complement on l2,
+
+        0 - [A^T, B] M^-1 [A; B^T] = B C^-1 A + (B C^-1 A)^T = 2Q,
+
+    with Q = B C^-1 A.  Q is symmetric: write each basis vector y_j of l2
+    as u_j + w_j with u_j in l1 and w_j in l3; then Q_jl = <u_j, w_l>, and
+    0 = <y_j, y_l> = <u_j, w_l> - <u_l, w_j>, since l2 is isotropic and
+    <u_j, u_l> = <w_j, w_l> = 0.  So G is congruent to diag(M, 2Q), and by
+    Sylvester's law of inertia the index is sgn Q, with the radical of Q.
+
+    The form is unchanged by a cyclic rotation of the triple, so when l1
+    is not transverse to l3 a rotation whose first and last members are
+    transverse gives the same index (and radical).  Only when no pair is
+    transverse is the 3n x 3n Gram matrix diagonalized.
+    """
+    pos, neg, _ = _maslov_inertia(l1, l2, l3, order)
     return pos - neg
 
 
@@ -274,8 +309,21 @@ def maslov_with_radical(
     l1: Lagrangian, l2: Lagrangian, l3: Lagrangian, order: OrderSpec | None = None
 ) -> tuple[int, int]:
     """(signature, radical dimension) for degenerate configurations."""
-    pos, neg, zero = signature(maslov_gram(l1, l2, l3), order)
+    pos, neg, zero = _maslov_inertia(l1, l2, l3, order)
     return pos - neg, zero
+
+
+def _maslov_inertia(
+    l1: Lagrangian, l2: Lagrangian, l3: Lagrangian, order: OrderSpec | None
+) -> tuple[int, int, int]:
+    """(positives, negatives, zeros) of the Maslov form; see `maslov`."""
+    for a, b, c in ((l1, l2, l3), (l2, l3, l1), (l3, l1, l2)):
+        try:
+            inv = pairing_matrix(a, c).inverse()
+        except SingularMatrixError:
+            continue
+        return signature(pairing_matrix(b, c) @ inv @ pairing_matrix(a, b), order)
+    return signature(maslov_gram(l1, l2, l3), order)
 
 
 def is_maximal_triple(

@@ -26,6 +26,13 @@ class Word:
         raise AttributeError("Word is immutable")
 
     @classmethod
+    def from_reduced(cls, letters: tuple[Letter, ...]) -> "Word":
+        """Wrap a letter tuple the caller knows is freely reduced, unchecked."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
+
+    @classmethod
     def identity(cls) -> "Word":
         return cls()
 

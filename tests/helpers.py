@@ -45,16 +45,17 @@ def faddeev_leverrier(m):
     return Poly(coeffs)
 
 
-def _oracle_ball(rep, radius, identity, letters, product, guard=None):
+def _oracle_ball(rep, radius, identity, letters, product, guard=None, generators=None):
     """(word, image) over the freely reduced ball, products shared level by level.
 
-    Length-lex order over the free generators (g before g^-1, generators
-    in their listed order); `letters` maps (name, +-1) to its image and
-    `guard(word, image)` sees every product.
+    Each extension is built as a freely reduced Word.  Length-lex order
+    over the generators (g before g^-1, generators in their listed order;
+    the free generators unless `generators` is given); `letters` maps
+    (name, +-1) to its image and `guard(word, image)` sees every product.
     """
     from valrep.words import Word
 
-    gens = rep.free_generators
+    gens = generators or rep.free_generators
     rank = {letter: i for i, letter in enumerate((g, e) for g in gens for e in (1, -1))}
     level = {Word(): identity}
     for _ in range(radius):
@@ -185,3 +186,150 @@ def rotation_is_class_representative(word, generators, key=None):
         key = rotation_conjugacy_key(word, generators)
     index = {letter: i for i, letter in enumerate(letter_alphabet(generators))}
     return tuple(index[l] for l in word.letters) == key
+
+
+def gram_signature(sym, order=None):
+    """(positives, negatives, zeros) by congruence, updating whole rows and columns.
+
+    Each pivot step subtracts a multiple of the pivot row from every later
+    row and then the same multiple of the pivot column from every column
+    of every row; the 2x2 fix is as in `symplectic.signature`.
+    """
+    from valrep.fields import element_sign
+
+    if sym != sym.transpose():
+        raise ValueError("signature needs a symmetric matrix")
+    m = [list(row) for row in sym.entries]
+    size = sym.rows
+    pos = neg = zero = 0
+    i = 0
+
+    def sym_swap(a, b):
+        m[a], m[b] = m[b], m[a]
+        for row in m:
+            row[a], row[b] = row[b], row[a]
+
+    def sym_add(dst, src):
+        m[dst] = [x + y for x, y in zip(m[dst], m[src])]
+        for row in m:
+            row[dst] = row[dst] + row[src]
+
+    while i < size:
+        if m[i][i] == 0:
+            j = next((k for k in range(i + 1, size) if m[k][k] != 0), None)
+            if j is not None:
+                sym_swap(i, j)
+            else:
+                pair = next(
+                    ((a, b) for a in range(i, size) for b in range(a + 1, size) if m[a][b] != 0),
+                    None,
+                )
+                if pair is None:
+                    zero += size - i
+                    break
+                a, b = pair
+                sym_add(a, b)
+                if a != i:
+                    sym_swap(i, a)
+        pivot = m[i][i]
+        for k in range(i + 1, size):
+            if m[k][i] != 0:
+                f = m[k][i] / pivot
+                m[k] = [x - f * y for x, y in zip(m[k], m[i])]
+                for row in m:
+                    row[k] = row[k] - f * row[i]
+        if element_sign(pivot, order) > 0:
+            pos += 1
+        else:
+            neg += 1
+        i += 1
+    return pos, neg, zero
+
+
+def gram_maslov(l1, l2, l3, order=None):
+    """(index, radical dimension) from the 3n x 3n Gram matrix of the Maslov form."""
+    from valrep.symplectic import maslov_gram
+
+    pos, neg, zero = gram_signature(maslov_gram(l1, l2, l3), order)
+    return pos - neg, zero
+
+
+class QuotientCrossratio:
+    """The framing crossratio -nu(CR(phi(q2), phi(q1), phi(q3), phi(q4)))/2 as defined.
+
+    CR is the Q(X) quotient `symplectic.crossratio`; transversality is
+    tested by rank.  A quadruple is defined when it is positively oriented
+    and all four pairs entering CR are transverse (a transverse numerator
+    pair keeps CR != 0, so its valuation is finite).
+    """
+
+    def __init__(self, framing, valuation):
+        self.framing = framing
+        self.valuation = valuation
+
+    def defined(self, quad):
+        if not self.framing.is_positively_oriented(quad):
+            return False
+        q1, q2, q3, q4 = (self.framing.image(q) for q in quad)
+        pairs = ((q2, q1), (q3, q4), (q1, q3), (q4, q2))
+        return all(rank_transverse(a, b) for a, b in pairs)
+
+    def value(self, quad):
+        from valrep.currents import OrientationError
+        from valrep.symplectic import TransversalityError, crossratio
+
+        if not self.framing.is_positively_oriented(quad):
+            raise OrientationError(f"quadruple {quad} is not positively oriented")
+        q1, q2, q3, q4 = (self.framing.image(q) for q in quad)
+        cr = crossratio(q2, q1, q3, q4)
+        if cr == 0:
+            raise TransversalityError("a numerator pair is not transverse")
+        return -self.valuation.of(cr) / 2
+
+
+def defined_value_axiom_check(cr, quintuples):
+    """crossratio_axiom_check through `cr.defined` and `cr.value` on every quadruple."""
+    from valrep.currents import AxiomReport
+
+    sym = add = 0
+    for quint in quintuples:
+        x1, x2, x3, x4, x5 = quint
+        quads = [(x1, x2, x4, x5), (x1, x2, x3, x5), (x1, x3, x4, x5)]
+        values = []
+        for quad in quads:
+            if not cr.defined(quad):
+                values = None
+                break
+            value = cr.value(quad)
+            flipped = (quad[2], quad[3], quad[0], quad[1])
+            if cr.defined(flipped):
+                sym += 1
+                if cr.value(flipped) != value:
+                    return AxiomReport(False, sym, add, f"symmetry fails on {quad}")
+            values.append(value)
+        if values is None:
+            continue
+        add += 1
+        if values[0] != values[1] + values[2]:
+            return AxiomReport(
+                False, sym, add, f"additivity fails on {tuple(quint)}: {values}"
+            )
+    return AxiomReport(True, sym, add)
+
+
+def frac_ball(rep, radius, generators=None, degree_bound=None):
+    """(word, FracMatrix) over the freely reduced ball, by `_oracle_ball`.
+
+    The degree guard raises DegreeGuardExceeded at the first product whose
+    reduced entries outgrow the bound, as `RepTable.iter_ball` does.
+    """
+    from valrep.linalg import FracMatrix
+    from valrep.representation import DegreeGuardExceeded
+
+    def guard(word, image):
+        deg = None if degree_bound is None else image.degree_over(degree_bound)
+        if deg is not None:
+            raise DegreeGuardExceeded(word, deg, degree_bound)
+
+    identity = FracMatrix.identity(rep.size)
+    return _oracle_ball(rep, radius, identity, rep.letters, lambda a, b: a @ b, guard, generators)

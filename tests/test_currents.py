@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from valrep.currents import (
+    AxiomReport,
     DichotomyReport,
     DiscretenessUnknown,
     FramingCrossratio,
@@ -27,7 +28,7 @@ from valrep.framing import FramingTable
 from valrep.linalg import Matrix
 from valrep.pants import boundary_words, pants_rep
 from valrep.representation import GroupPresentation, RepTable
-from valrep.symplectic import Lagrangian, symplectic_inverse
+from valrep.symplectic import Lagrangian, TransversalityError, symplectic_inverse
 from valrep.valuation import Valuation
 from valrep.words import Word, parse_word
 
@@ -355,3 +356,29 @@ def test_multicurve_certificate_stable_under_multiples():
         k = outcome.k * multiple
         for _, value in outcome.periods:
             assert (k * value).denominator == 1
+
+
+def degenerate_framing():
+    """Lines of slopes 0, 1, 0, 2, 3: labels a and c share their image."""
+    images = {l: Lagrangian.line(s) for l, s in zip("abcde", (0, 1, 0, 2, 3))}
+    return FramingTable(tuple("abcde"), images)
+
+
+def test_non_transverse_numerator_pair_is_undefined():
+    # in (a, b, c, d) the numerator pair (q1, q3) = (a, c) is not transverse,
+    # while both denominator pairs (a, b) and (d, c) are
+    cr = FramingCrossratio(degenerate_framing(), ADIC0)
+    assert not cr.defined(("a", "b", "c", "d"))
+    assert cr.evaluate(("a", "b", "c", "d")) is None
+    with pytest.raises(TransversalityError):
+        cr.value(("a", "b", "c", "d"))
+    assert cr.defined(("a", "b", "d", "e"))
+    with pytest.raises(OrientationError):
+        cr.value(("b", "a", "d", "e"))
+
+
+def test_axiom_check_skips_non_transverse_quadruples():
+    # (a, b, c, e) has the pair (a, c): the additivity triple is skipped,
+    # and only (a, b, d, e) with its flip (d, e, a, b) is checked
+    cr = FramingCrossratio(degenerate_framing(), ADIC0)
+    assert crossratio_axiom_check(cr, [tuple("abcde")]) == AxiomReport(True, 1, 0)

@@ -8,7 +8,7 @@ sweeps against sweeps by canonical Q(X) products (oracles in helpers.py).
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from valrep.fields import OrderSpec, RatFunc, X
 from valrep.linalg import FracMatrix, Matrix, _pack, _packed_degree, _unpack
@@ -28,7 +28,6 @@ from helpers import (
 )
 
 R = RatFunc.coerce
-SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 small_ints = st.integers(-4, 4)
 rationals = st.builds(Fraction, small_ints, st.integers(1, 3))
@@ -58,19 +57,18 @@ def square_matrices(entries, max_size):
     )
 
 
-@SETTINGS
 @given(square_matrices(rationals, 6))
 def test_berkowitz_matches_faddeev_leverrier_over_q(m):
     assert m.char_poly() == faddeev_leverrier(m)
 
 
-@settings(SETTINGS, max_examples=20)
+@settings(max_examples=20)
 @given(square_matrices(qx_entries(), 6))
 def test_berkowitz_matches_faddeev_leverrier_over_qx(m):
     assert m.char_poly() == faddeev_leverrier(m)
 
 
-@settings(SETTINGS, max_examples=40)
+@settings(max_examples=40)
 @given(square_matrices(qx_entries(), 4))
 def test_fraction_free_roundtrip_and_char_poly(m):
     image = FracMatrix.from_matrix(m)
@@ -98,7 +96,7 @@ def packed_square(n, entries=int_polys):
     return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
-@settings(SETTINGS, max_examples=60)
+@settings(max_examples=60)
 @given(st.sampled_from((2, 4, 6)).flatmap(lambda n: st.tuples(*[packed_square(n)] * 3)))
 def test_packed_product_matches_poly_matrix_product(abc):
     a, b, c = abc
@@ -175,7 +173,6 @@ def balanced_polys(draw):
     return Poly(coeffs), width
 
 
-@SETTINGS
 @given(balanced_polys())
 def test_bit_length_degree_is_poly_degree(case):
     p, width = case

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from valrep.fields import RatFunc
 from valrep.linalg import Matrix
@@ -27,7 +27,6 @@ from valrep.symplectic import (
 from helpers import projection_crossratio, rank_transverse
 
 R = RatFunc.coerce
-SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
 
@@ -119,7 +118,6 @@ def check_against_oracle(quad):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@SETTINGS
 @given(data=st.data())
 def test_crossratio_matches_projection_oracle_over_q(n, data):
     check_against_oracle(data.draw(quadruples(n, lagrangians(n))))
@@ -153,14 +151,13 @@ def qx_graph_quadruples(draw):
     return quad
 
 
-@settings(SETTINGS, max_examples=40)
+@settings(max_examples=40)
 @given(qx_graph_quadruples())
 def test_crossratio_matches_projection_oracle_over_qx(quad):
     check_against_oracle(quad)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@SETTINGS
 @given(data=st.data())
 def test_transverse_matches_rank_oracle(n, data):
     a, b = data.draw(lagrangians(n)), data.draw(lagrangians(n))
@@ -168,7 +165,6 @@ def test_transverse_matches_rank_oracle(n, data):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@SETTINGS
 @given(data=st.data())
 def test_vector_sharing_pairs_are_not_transverse(n, data):
     a, b = data.draw(sharing_pairs(n))
@@ -183,7 +179,6 @@ def test_vector_sharing_pairs_are_not_transverse(n, data):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@SETTINGS
 @given(data=st.data())
 def test_pairing_matrix_entries_and_antisymmetry(n, data):
     a, b = data.draw(lagrangians(n)), data.draw(lagrangians(n))

@@ -24,6 +24,8 @@ from valrep.representation import (
 from valrep.valuation import INFINITY, Valuation
 from valrep.words import Word, parse_word
 
+from helpers import frac_ball
+
 ORDER0 = OrderSpec.at_plus(0)
 ADIC0 = Valuation.adic(0)
 
@@ -143,3 +145,47 @@ def test_degree_guard_fires():
     rep = pants_rep(ORDER0)
     with pytest.raises(DegreeGuardExceeded):
         list(rep.iter_ball(4, degree_bound=2))
+
+
+def three_generator_rep():
+    """Free Sp(2, Q(X)) images: two unipotents and a torus element."""
+    one, zero = RatFunc.coerce(1), RatFunc.coerce(0)
+    images = {
+        "a": Matrix([[one, X], [zero, one]]),
+        "b": Matrix([[one, zero], [X - 1, one]]),
+        "c": Matrix([[X, zero], [zero, one / X]]),
+    }
+    return RepTable(GroupPresentation(("a", "b", "c"), ()), images, ORDER0, ADIC0)
+
+
+def _sweep(ball):
+    """The (letters, image) sequence, or the word, degree and bound where the guard fired."""
+    out = []
+    try:
+        for word, image in ball:
+            out.append((word.letters, image.packed, image.den, image.width))
+    except DegreeGuardExceeded as err:
+        out.append((str(err.word), err.degree, err.bound))
+    return out
+
+
+@pytest.mark.parametrize(
+    "make,generators",
+    [
+        (lambda: pants_rep(ORDER0), None),
+        (three_generator_rep, None),
+        (three_generator_rep, ("c", "a")),
+    ],
+    ids=["pants c1 c2", "a b c", "c a"],
+)
+def test_iter_ball_matches_word_built_sweep(make, generators):
+    rep = make()
+    fast = _sweep(rep.iter_ball(6, generators))
+    assert fast == _sweep(frac_ball(rep, 6, generators))
+    letters = 2 * len(generators or rep.free_generators)
+    assert len(fast) == sum(letters * (letters - 1) ** k for k in range(6))
+    for bound in (1, 2, 4):
+        fired = _sweep(rep.iter_ball(6, generators, degree_bound=bound))
+        assert fired == _sweep(frac_ball(rep, 6, generators, degree_bound=bound)), bound
+        if bound == 1:
+            assert isinstance(fired[-1][0], str)  # the guard fired, naming a word
