@@ -39,6 +39,7 @@ from .spectra import (
     NORM_SUM,
     building_pseudodistance,
     char_poly_polygon,
+    jordan_from_polygon,
     jordan_valuation,
     translation_length,
 )
@@ -362,8 +363,8 @@ def cmd_translength(args) -> dict:
 
 def cmd_jordan(args) -> dict:
     m, valuation = _matrix_or_rep_word(args)
-    vec = jordan_valuation(m, valuation)
     polygon = char_poly_polygon(m, valuation)
+    vec = jordan_from_polygon(polygon, m.rows)
     return {
         "valuation": valuation.spec_string(),
         "jordan": [frac_str(v) for v in vec],

@@ -339,15 +339,6 @@ class OrderSpec:
         """Total-order comparison: -1 if f < g, 0 if f = g, +1 if f > g."""
         return self.sign(RatFunc.coerce(f) - RatFunc.coerce(g))
 
-    def lt(self, f, g) -> bool:
-        return self.compare(f, g) < 0
-
-    def le(self, f, g) -> bool:
-        return self.compare(f, g) <= 0
-
-    def is_positive(self, f) -> bool:
-        return self.sign(f) > 0
-
     def abs(self, f) -> RatFunc:
         f = RatFunc.coerce(f)
         return -f if self.sign(f) < 0 else f

@@ -21,7 +21,7 @@ from typing import Hashable, Iterator, Sequence
 from .linalg import Matrix
 from .representation import RepTable
 from .roots import NonSplitError, linear_eigenvalues
-from .symplectic import Lagrangian, is_maximal_triple, maslov
+from .symplectic import Lagrangian, maslov
 from .valuation import Valuation
 from .words import Word
 
@@ -90,10 +90,9 @@ def verify_maximal_framing(rep: RepTable, framing: FramingTable) -> FramingRepor
     triples = 0
     for a, b, c in framing.oriented_triples():
         triples += 1
-        if not is_maximal_triple(
-            framing.image(a), framing.image(b), framing.image(c), rep.order
-        ):
-            tau = maslov(framing.image(a), framing.image(b), framing.image(c), rep.order)
+        la = framing.image(a)
+        tau = maslov(la, framing.image(b), framing.image(c), rep.order)
+        if tau != la.n:
             return FramingReport(
                 False, triples, 0, f"triple {(a, b, c)} has index {tau} != {rep.n}"
             )

@@ -16,12 +16,21 @@ sums with no Poly built.  The digits are balanced (every |coefficient|
 below 2^(b-1)), which makes an entry's degree exact from its bit length
 alone: a leading digit at position k puts |N_ij(2^b)| strictly between
 2^(kb-1) and 2^((k+1)b-1), so deg N_ij = bit_length // b.
+
+char_poly(N) runs the same Berkowitz recursion on the packed ints,
+repacked at a width b' wide enough for every coefficient: the T^(n-k)
+coefficient is +-e_k(N), bounded by B = max_k C(n,k) k! L^(k-1) M^k
+(L a bound on the coefficient count, M on |coefficient|), and b' is the
+least doubling of b with 2B < 2^b'.  Evaluation at 2^b' is a ring map,
+so no intermediate value needs a bound.  A symplectic N/D is inverted
+with no arithmetic: J^-1 t(N) J / D is a signed rearrangement of the
+packed entries, confirmed by one packed product equal to D^2 I.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, perm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -299,7 +308,7 @@ def _sum(terms: Sequence):
 
 
 class FracMatrix:
-    """A square matrix over Q(X) kept as N/D, fraction-free and Kronecker-packed.
+    """A matrix over Q(X) kept as N/D, fraction-free and Kronecker-packed.
 
     N has integer-polynomial entries and D is one nonzero integer Poly.
     Each entry N_ij is stored as the Python int N_ij(2^b) (Kronecker
@@ -307,13 +316,15 @@ class FracMatrix:
     digits of that int, each of absolute value below 2^(b-1).  Beside the
     packed entries the matrix keeps the width b, a bound M on every
     |coefficient| and a bound L on every coefficient count.  The width is
-    the least of 64, 128, 256, ... with 2nM < 2^b, so that a sum of n
-    entries (a diagonal, for the trace) still has balanced digits.
+    the least of 64, 128, 256, ... with 2nM < 2^b (n rows), so that a sum
+    of n entries (a diagonal, for the trace) still has balanced digits.
+    Word images are square; a building pseudodistance may multiply
+    rectangular ones, whose product bounds M by the inner dimension.
 
     Nothing is reduced: a product is (N1 @ N2) / (D1 * D2), computed as n^3
     int products and sums with no Poly built, and canonical RatFunc
     entries are built only by `to_matrix()` and `trace()`.  `num` unpacks
-    N on demand.
+    N on demand; `char_poly()` unpacks only the coefficients of char_poly(N).
     """
 
     __slots__ = ("packed", "den", "width", "bound", "length")
@@ -330,7 +341,7 @@ class FracMatrix:
 
     @classmethod
     def from_polys(cls, rows: Sequence[Sequence[Poly]], den: Poly) -> "FracMatrix":
-        """Pack a square matrix N of integer Polys over the denominator D."""
+        """Pack a matrix N of integer Polys over the denominator D."""
         polys = [p for row in rows for p in row]
         bound = max((abs(c) for p in polys for c in p.coeffs), default=0)
         length = max(1, max(len(p.coeffs) for p in polys))
@@ -371,15 +382,65 @@ class FracMatrix:
         return Matrix([_unpack(v, self.width) for v in row] for row in self.packed)
 
     def __matmul__(self, other: "FracMatrix") -> "FracMatrix":
-        n = len(self.packed)
-        bound = n * min(self.length, other.length) * self.bound * other.bound
-        width = _width(n * bound, max(self.width, other.width))
+        inner = len(other.packed)
+        bound = inner * min(self.length, other.length) * self.bound * other.bound
+        width = _width(len(self.packed) * bound, max(self.width, other.width))
         left, right = self._at_width(width).packed, other._at_width(width).packed
         cols = tuple(zip(*right))
         packed = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in left)
         return FracMatrix(
             packed, self.den * other.den, width, bound, self.length + other.length - 1
         )
+
+    def transpose(self) -> "FracMatrix":
+        return FracMatrix(
+            tuple(zip(*self.packed)), self.den, self.width, self.bound, self.length
+        )
+
+    def symplectic_inverse(self) -> "FracMatrix | None":
+        """(N/D)^-1 as J^-1 t(N) J / D if N/D is symplectic, else None.
+
+        For N = [[A, B], [C, E]] that numerator is [[tE, -tB], [-tC, tA]],
+        a signed rearrangement of the packed entries over the same D.  It
+        is the inverse exactly when its product with N is D^2 I: zero off
+        the diagonal, and D^2 on it.
+        """
+        size = len(self.packed)
+        if size % 2 or any(len(row) != size for row in self.packed):
+            return None
+        n, p = size // 2, self.packed
+        top = [
+            [p[j + n][i + n] for j in range(n)] + [-p[j][i + n] for j in range(n)]
+            for i in range(n)
+        ]
+        bottom = [
+            [-p[j + n][i] for j in range(n)] + [p[j][i] for j in range(n)] for i in range(n)
+        ]
+        inverse = FracMatrix(
+            tuple(map(tuple, top + bottom)), self.den, self.width, self.bound, self.length
+        )
+        check = inverse @ self
+        product = check.packed
+        if any(v for i, row in enumerate(product) for j, v in enumerate(row) if i != j):
+            return None
+        if any(_unpack(row[i], check.width) != check.den for i, row in enumerate(product)):
+            return None
+        return inverse
+
+    def char_poly(self) -> Poly:
+        """char_poly(N) over Z[X], by Berkowitz on the packed ints N(2^b').
+
+        The T^(n-k) coefficient is (-1)^k e_k(N): C(n,k) principal minors
+        of k! products of k entries, each product with coefficients at
+        most L^(k-1) M^k.  So b' is the least doubling of the width with
+        2B < 2^b', B = max_k C(n,k) k! L^(k-1) M^k.
+        """
+        n = len(self.packed)
+        bound = max(perm(n, k) * self.length ** (k - 1) * self.bound**k for k in range(1, n + 1))
+        width = _width(bound, self.width)
+        coeffs = Matrix(self._at_width(width).packed).char_poly().coeffs
+        # int(): on an all-zero matrix the leading 1 is Matrix.one()'s Fraction(1)
+        return Poly(_unpack(int(c), width) for c in coeffs)
 
     def _at_width(self, width: int) -> "FracMatrix":
         """The same matrix repacked at a larger width."""

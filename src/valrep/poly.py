@@ -9,8 +9,8 @@ fraction-free word images), `RatFunc` (characteristic polynomials in T
 over Q(X)) and `Poly` itself (characteristic polynomials in T over Z[X]).
 
 Ring operations (+, -, *) work over any of these.  Division, gcd and
-multiplicity counting use exact field arithmetic; nothing here ever
-rounds.
+multiplicity counting use exact field arithmetic (an int divisor acts as
+a Fraction, so Z[X] divides in Q[X]); nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ class Poly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def constant_term(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no coefficients")
-        return self.coeffs[0]
 
     def coefficient(self, i: int):
         if 0 <= i < len(self.coeffs):
@@ -146,7 +141,7 @@ class Poly:
         if self.degree < other.degree:
             return Poly(), self
         rem = list(self.coeffs)
-        lead = other.leading()
+        lead = _field(other.leading())
         dq = self.degree - other.degree
         quo = [self.coeffs[0] * 0] * (dq + 1)
         for i in range(dq, -1, -1):
@@ -177,10 +172,8 @@ class Poly:
         lead = self.leading()
         if lead == 1:
             return self
+        lead = _field(lead)
         return Poly(c / lead for c in self.coeffs)
-
-    def derivative(self) -> "Poly":
-        return Poly(c * i for i, c in enumerate(self.coeffs) if i)
 
     def evaluate(self, t):
         """Horner evaluation at a field element."""
@@ -242,6 +235,11 @@ def gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, (a % b).monic()
     return a.monic()
+
+
+def _field(c):
+    """c, as a Fraction if it is an int, so that dividing by it stays exact."""
+    return Fraction(c) if type(c) is int else c
 
 
 def _mul_rational(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:

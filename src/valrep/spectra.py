@@ -8,12 +8,18 @@ symmetric under negation (eigenvalues pair as lambda, 1/lambda) and the
 Jordan vector is its nonnegative half.  A word image arrives
 fraction-free, as a FracMatrix N/D; the polygon comes from char_poly(N)
 over Z[X] and nu(D), so no canonical Q(X) element is built on the way.
+char_poly(N) is Berkowitz's recursion on the Kronecker-packed ints
+N(2^b'), at a width b' that holds every coefficient of char_poly(N)
+(see linalg).
 
 Two norms aggregate a Jordan vector into a length: the Siegel-model sum
 of entries ("sum"), and the projective max-ratio spread ("spread").  The
 orbit-point pseudodistance between g1 and g2 halves the polygon data of
 t(h) h with h = g1^{-1} g2, since Cartan values are square roots of the
-eigenvalues of t(h) h.
+eigenvalues of t(h) h.  h and t(h) h are packed FracMatrix products.
+For symplectic g1 the inverse is J^-1 t(g1) J, a signed rearrangement of
+the cleared g1 over its own denominator; any other g1 is inverted by
+elimination over Q(X) and then cleared.
 """
 
 from __future__ import annotations
@@ -48,16 +54,15 @@ def char_poly_polygon(g: Matrix | FracMatrix, val: Valuation) -> NewtonPolygonRe
     -nu(D), as the eigenvalues of N/D are those of N divided by D.
     """
     image = g if isinstance(g, FracMatrix) else FracMatrix.from_matrix(g)
-    polygon = newton_polygon(image.num.char_poly(), val)
+    polygon = newton_polygon(image.char_poly(), val)
     shift = val.of(image.den)
     return NewtonPolygonResult(
         tuple((v - shift, m) for v, m in polygon.root_valuations), polygon.zero_roots
     )
 
 
-def root_valuations(g: Matrix | FracMatrix, val: Valuation) -> list[Fraction]:
-    """nu(lambda) for all eigenvalues of an invertible g, nondecreasing."""
-    polygon = char_poly_polygon(g, val)
+def root_valuations(polygon: NewtonPolygonResult) -> list[Fraction]:
+    """nu(lambda) for all eigenvalues, nondecreasing, from an invertible matrix's polygon."""
     if polygon.zero_roots:
         raise SingularMatrixError("matrix is singular; Jordan data undefined")
     return polygon.expanded()
@@ -72,20 +77,26 @@ def jordan_valuation(
     returns the nonnegative half (n entries for a 2n x 2n input).  Linear
     mode returns all values; consumers treat them projectively.
     """
-    values = root_valuations(g, val)
+    return jordan_from_polygon(char_poly_polygon(g, val), g.rows, mode)
+
+
+def jordan_from_polygon(
+    polygon: NewtonPolygonResult, size: int, mode: str = "symplectic"
+) -> tuple[Fraction, ...]:
+    """The Jordan projection of a size x size matrix with this char-poly polygon."""
+    values = root_valuations(polygon)
     slopes = sorted((-v for v in values), reverse=True)
     if mode == "linear":
         return tuple(slopes)
     if mode != "symplectic":
         raise ValueError(f"unknown mode {mode!r}")
-    if g.rows % 2:
+    if size % 2:
         raise ValueError("symplectic mode needs even size")
     if sorted(values) != sorted(-v for v in values):
         raise NonSymplecticSpectrumError(
             "eigenvalue valuations are not symmetric under negation"
         )
-    n = g.rows // 2
-    return tuple(slopes[:n])
+    return tuple(slopes[: size // 2])
 
 
 def translation_length(
@@ -107,12 +118,17 @@ def building_pseudodistance(
     With h = g1^{-1} g2 and m = t(h) h, the Cartan values of h have
     valuations equal to half the root valuations of char_poly(m); the
     "sum" norm aggregates max(-v/2, 0) over the whole (symmetric)
-    multiset, the "spread" norm takes half the spread.
+    multiset, the "spread" norm takes half the spread.  Both products are
+    fraction-free: h = g1^{-1} g2 over D1 D2 and m over (D1 D2)^2.
     """
     _check_norm(norm)
-    h = g1.inverse() @ g2
-    m = h.transpose() @ h
-    values = root_valuations(m, val)
+    inverse = FracMatrix.from_matrix(g1).symplectic_inverse()
+    if inverse is None:
+        inverse = FracMatrix.from_matrix(g1.inverse())
+    if g1.cols != g2.rows:
+        raise ValueError(f"shape mismatch {g1.rows}x{g1.cols} @ {g2.rows}x{g2.cols}")
+    h = inverse @ FracMatrix.from_matrix(g2)
+    values = root_valuations(char_poly_polygon(h.transpose() @ h, val))
     if norm == NORM_SUM:
         half = Fraction(1, 2)
         return sum((max(-v * half, Fraction(0)) for v in values), Fraction(0))

@@ -1,6 +1,7 @@
 """Shared random generators for the test suite (seeded, deterministic)."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 from valrep.fields import RatFunc
 from valrep.poly import Poly
@@ -43,6 +44,15 @@ def faddeev_leverrier(m):
         if k < n:
             acc = am + Matrix.identity(n, one).scale(c)
     return Poly(coeffs)
+
+
+def monic_euclid_gcd(a, b):
+    """Monic gcd by the plain Euclidean algorithm over Q (Fraction coefficients)."""
+    a = Poly(map(Fraction, a.coeffs))
+    b = Poly(map(Fraction, b.coeffs))
+    while not b.is_zero():
+        a, b = b, (a % b).monic()
+    return a.monic()
 
 
 def _oracle_ball(rep, radius, identity, letters, product, guard=None, generators=None):
@@ -126,6 +136,28 @@ def ratfunc_translation_length(matrix, valuation):
     values = newton_polygon(faddeev_leverrier(matrix), valuation).expanded()
     slopes = sorted((-v for v in values), reverse=True)
     return sum(slopes[: matrix.rows // 2], Fraction(0))
+
+
+@lru_cache(maxsize=4)
+def _qx_cartan_char_poly(g1, g2):
+    h = g1.inverse() @ g2
+    return (h.transpose() @ h).char_poly()
+
+
+def qx_pseudodistance(g1, g2, valuation, norm):
+    """building_pseudodistance by its definition over Q(X).
+
+    h = g1^-1 g2 by elimination and m = t(h) h by canonical Q(X) products;
+    the root valuations come from the Berkowitz char poly of m over Q(X),
+    kept for the last few (g1, g2) so that each valuation and norm reuses it.
+    """
+    from valrep.spectra import NORM_SUM
+    from valrep.valuation import newton_polygon
+
+    values = newton_polygon(_qx_cartan_char_poly(g1, g2), valuation).expanded()
+    if norm == NORM_SUM:
+        return sum((max(-v / 2, Fraction(0)) for v in values), Fraction(0))
+    return Fraction(max(values) - min(values), 2)
 
 
 def rank_transverse(l1, l2):

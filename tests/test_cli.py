@@ -123,6 +123,56 @@ def test_distance_command():
     assert report["result"]["distance"] == "1"
 
 
+def _error_report(message):
+    payload = {"schema": "valrep.report/1", "error": {"code": "input", "message": message}}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+IDENTITY_4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+DISTANCE_ERRORS = {
+    "shape mismatch 2x2 @ 4x4": {"g1": [["1", "0"], ["0", "1"]], "g2": IDENTITY_4},
+    "matrix is not invertible": {"g1": [["1", "2", "0", "0"], ["2", "4", "0", "0"],
+                                        ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+                                 "g2": IDENTITY_4},
+}
+
+
+@pytest.mark.parametrize("message", sorted(DISTANCE_ERRORS))
+def test_distance_error_reports(message):
+    payload = json.dumps(DISTANCE_ERRORS[message])
+    proc = subprocess.run(
+        PY + ["distance", "--valuation", "adic:0", "--json", payload],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == _error_report(message)
+
+
+JORDAN_INPUTS = [
+    '{"representation": "pants", "order": "plusinf", "word": "c1 c2^-1"}',
+    '{"matrix": [["X","1","0","0"],["0","X","0","0"],["0","0","1/X","0"],["2","0","0","1/X"]]}',
+]
+
+
+@pytest.mark.parametrize("payload", JORDAN_INPUTS)
+def test_jordan_builds_one_polygon_per_report(payload, monkeypatch, capsys):
+    from valrep import cli
+    from valrep.linalg import FracMatrix
+
+    calls = []
+
+    def counting(self, original=FracMatrix.char_poly):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FracMatrix, "char_poly", counting)
+    assert cli.main(["jordan", "--valuation", "atinf", "--json", payload]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert len(report["result"]["jordan"]) == 2 and report["result"]["polygon"]
+
+
 def test_periods_command():
     payload = json.dumps(
         {"representation": "pants", "order": "aplus:0", "words": ["c1", "c1 c2^-1"]}

@@ -1,8 +1,10 @@
 """Differential tests of the fraction-free fast paths against slower definitions.
 
 Berkowitz char polys against Faddeev-LeVerrier, Kronecker-packed FracMatrix
-products against schoolbook Poly-matrix products, and FracMatrix word
-sweeps against sweeps by canonical Q(X) products (oracles in helpers.py).
+products and char polys against schoolbook Poly-matrix products and
+Berkowitz over Poly entries, the fraction-free building pseudodistance
+against its Q(X) definition, and FracMatrix word sweeps against sweeps by
+canonical Q(X) products (oracles in helpers.py).
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from valrep.linalg import FracMatrix, Matrix, _pack, _packed_degree, _unpack
 from valrep.pants import pants_rep
 from valrep.poly import Poly
 from valrep.representation import DegreeGuardExceeded, GroupPresentation, RepTable
-from valrep.spectra import NORM_SUM, translation_length
+from valrep.spectra import NORM_SPREAD, NORM_SUM, building_pseudodistance, translation_length
 from valrep.valuation import Valuation
 from valrep.words import is_class_representative
 
@@ -23,6 +25,7 @@ from helpers import (
     faddeev_leverrier,
     poly_matrix_ball,
     poly_matrix_product,
+    qx_pseudodistance,
     ratfunc_ball,
     ratfunc_translation_length,
 )
@@ -128,6 +131,14 @@ def test_large_coefficients_double_the_width():
     assert (packed @ packed).width == 256 and (small @ packed).width == 128
 
 
+def test_rectangular_product_bounds_by_the_inner_dimension():
+    # (2x4) @ (4x1) of constant entries c: both entries are 4c^2, a sum of 4 terms
+    c = Poly((2**100,))
+    product = FracMatrix.from_polys([[c] * 4] * 2, ONE) @ FracMatrix.from_polys([[c]] * 4, ONE)
+    four = Poly((4 * 2**200,))
+    assert product.num == Matrix([[four]] * 2) and product.bound >= 4 * 2**200
+
+
 def test_tight_bound_leaves_room_for_the_trace():
     # every entry of A @ A is 2c^2, the bound exactly; its trace 4c^2 needs
     # 2 * 2 * 2c^2 < 2^b, which fails at b = 64 for c = 3 * 2^29
@@ -153,6 +164,30 @@ DIGIT_EDGES = [
     (-1, 1), (1, -1), (-5, 0, 0, 1), (5, 0, 0, -1),
     (H64, -H64, H64, -H64), (0, 0, H64), (0, -H64),
 ]
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6).flatmap(packed_square))
+def test_packed_char_poly_matches_poly_berkowitz(rows):
+    image = FracMatrix.from_polys(rows, ONE)
+    packed = image.char_poly()
+    assert packed == image.num.char_poly()
+    assert all(type(c) is int for p in packed.coeffs for c in p.coeffs)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_packed_char_poly_of_zero_matrix(n):
+    image = FracMatrix.from_polys([[Poly()] * n] * n, ONE)
+    assert image.char_poly() == Poly([Poly()] * n + [ONE]) == image.num.char_poly()
+
+
+def test_packed_char_poly_width_holds_the_k_factorial():
+    # det [[c, -c], [c, c]] = 2c^2 = 2! M^2 needs width 128 at c = 5 * 2^29,
+    # though C(2,2) L M^2 = c^2 alone would still fit in width 64
+    c = 5 * 2**29
+    image = FracMatrix.from_polys([[Poly((c,)), Poly((-c,))], [Poly((c,)), Poly((c,))]], ONE)
+    assert image.width == 64 and 2 * c * c < 2**64 <= 4 * c * c
+    assert image.char_poly() == Poly((Poly((2 * c * c,)), Poly((-2 * c,)), ONE))
 
 
 @pytest.mark.parametrize("coeffs", DIGIT_EDGES)
@@ -289,3 +324,81 @@ def test_degree_guard_ignores_unreduced_degree():
     assert _guard_outcome(ratfunc_ball(rep, 2, 3)) is None
     fired = _guard_outcome(rep.iter_ball(2, degree_bound=1))
     assert fired is not None and fired == _guard_outcome(ratfunc_ball(rep, 2, 1))
+
+
+# -- building pseudodistance ----------------------------------------------------
+
+invertible_2x2 = st.lists(rationals, min_size=4, max_size=4).filter(
+    lambda e: e[0] * e[3] != e[1] * e[2]
+)
+
+
+@st.composite
+def generic_symplectic(draw):
+    """A unipotent block with generic symmetric entries times a rational torus.
+
+    Built like perfbench's generic-qx elements: the symmetric block has
+    entries with non-monomial denominators, and the torus is
+    diag(A, A^-T) for an invertible rational 2x2 A.
+    """
+    a, b, c = (draw(qx_entries()) for _ in range(3))
+    block = unipotent(draw(st.booleans()), [[a, b], [b, c]])
+    e = draw(invertible_2x2)
+    a2 = Matrix([[R(e[0]), R(e[1])], [R(e[2]), R(e[3])]])
+    inv_t = a2.inverse().transpose()
+    zero = [R(0)] * 2
+    torus = Matrix(
+        [list(a2.entries[i]) + zero for i in range(2)]
+        + [zero + list(inv_t.entries[i]) for i in range(2)]
+    )
+    return block @ torus
+
+
+def scaled(g):
+    """diag(2, 1, 1, 1) g: invertible, never symplectic."""
+    return Matrix([[2 * e for e in g.entries[0]]] + list(g.entries[1:]))
+
+
+PSEUDO_VALUATIONS = (Valuation.adic(0), Valuation.adic(1), Valuation.at_infinity())
+
+
+@settings(max_examples=25)
+@given(generic_symplectic(), generic_symplectic(), st.booleans())
+def test_pseudodistance_matches_qx_definition(g1, g2, symplectic):
+    if not symplectic:
+        g1 = scaled(g1)
+    assert (FracMatrix.from_matrix(g1).symplectic_inverse() is not None) == symplectic
+    for val in PSEUDO_VALUATIONS:
+        for norm in (NORM_SUM, NORM_SPREAD):
+            assert building_pseudodistance(g1, g2, val, norm) == (
+                qx_pseudodistance(g1, g2, val, norm)
+            ), (val, norm)
+
+
+def test_pseudodistance_of_a_rectangular_g2():
+    g1 = unipotent(True, [[X / (X + 1), R(1)], [R(1), R(2)]])
+    g2 = Matrix([[R(1), R(0)], [R(0), X], [X, R(1) / (X - 1)], [R(0), R(1) / X]])
+    for val in PSEUDO_VALUATIONS:
+        for norm in (NORM_SUM, NORM_SPREAD):
+            assert building_pseudodistance(g1, g2, val, norm) == (
+                qx_pseudodistance(g1, g2, val, norm)
+            )
+
+
+@settings(max_examples=40)
+@given(generic_symplectic())
+def test_symplectic_inverse_is_the_inverse_exactly_when_symplectic(g):
+    inverse = FracMatrix.from_matrix(g).symplectic_inverse()
+    assert inverse is not None and inverse.to_matrix() == g.inverse()
+    assert FracMatrix.from_matrix(scaled(g)).symplectic_inverse() is None
+
+
+def test_symplectic_inverse_rejects_a_unit_diagonal_non_symplectic():
+    # [[I, B], [0, I]] with B not symmetric: J^-1 t(g) J g = [[I, B - tB], [0, I]]
+    # has the right diagonal, and only its off-diagonal block tells
+    g = unipotent(True, [[R(1), X / (X + 2)], [R(0), R(1)]])
+    assert FracMatrix.from_matrix(g).symplectic_inverse() is None
+    sl2 = Matrix([[X / (X + 1), R(1)], [R(0), (X + 1) / X]])
+    assert FracMatrix.from_matrix(sl2).symplectic_inverse().to_matrix() == sl2.inverse()
+    odd = Matrix([[R(1)]])
+    assert FracMatrix.from_matrix(odd).symplectic_inverse() is None

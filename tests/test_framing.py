@@ -161,3 +161,22 @@ def test_framing_equivariance_check():
     )
     report = verify_maximal_framing(rep, bad)
     assert not report.ok
+
+
+def test_failing_triple_computes_its_maslov_index_once(monkeypatch):
+    from valrep import framing as framing_module, symplectic
+
+    calls = []
+
+    def counting(*args, original=symplectic.maslov):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(symplectic, "maslov", counting)
+    monkeypatch.setattr(framing_module, "maslov", counting)
+    pres = GroupPresentation(("a",), ())
+    rep = RepTable(pres, {"a": diag(X, ONE / X)}, OrderSpec.at_plus(0), ADIC0)
+    report = verify_maximal_framing(rep, line_framing([R(0), None, R(1)]))
+    assert not report.ok and report.triples_checked == 1
+    assert report.violation == "triple ('0', 'None', '1') has index -1 != 1"
+    assert len(calls) == 1
