@@ -107,34 +107,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add(name: str, handler, needs_input=True, **extra_flags):
+    def add(name: str, handler, *flags: str, maxlen: int = 4):
+        """A subcommand with --degree-bound (main reads it) and the flags it reads."""
         p = sub.add_parser(name)
         p.set_defaults(handler=handler, command=name)
-        if needs_input:
+        if "input" in flags:
             p.add_argument("--input", help="path to a JSON input file")
             p.add_argument("--json", dest="inline_json", help="inline JSON input")
-        p.add_argument("--order", default=None, help="aplus:A | aminus:A | plusinf | minusinf")
-        p.add_argument("--valuation", default=None, help="adic:A | atinf")
-        p.add_argument("--radius", type=int, default=6)
-        p.add_argument("--kmax", type=int, default=16)
-        p.add_argument("--maxlen", type=int, default=extra_flags.pop("maxlen", 4))
+        if "order" in flags:
+            p.add_argument("--order", default=None, help="aplus:A | aminus:A | plusinf | minusinf")
+        if "valuation" in flags:
+            p.add_argument("--valuation", default=None, help="adic:A | atinf")
+        if "radius" in flags:
+            p.add_argument("--radius", type=int, default=6)
+        if "kmax" in flags:
+            p.add_argument("--kmax", type=int, default=16)
+        if "maxlen" in flags:
+            p.add_argument("--maxlen", type=int, default=maxlen)
         p.add_argument("--degree-bound", type=int, default=512)
-        p.add_argument("--norm", choices=(NORM_SUM, NORM_SPREAD), default=NORM_SUM)
-        p.add_argument("--word", default=None)
-        return p
+        if "norm" in flags:
+            p.add_argument("--norm", choices=(NORM_SUM, NORM_SPREAD), default=NORM_SUM)
+        if "word" in flags:
+            p.add_argument("--word", default=None)
 
-    add("pants-demo", cmd_pants_demo, needs_input=False, maxlen=2)
-    add("symplectic-check", cmd_symplectic_check)
-    add("trace", cmd_trace)
-    add("translength", cmd_translength)
-    add("jordan", cmd_jordan)
-    add("closed-point", cmd_closed_point)
-    add("maslov", cmd_maslov)
-    add("crossratio", cmd_crossratio)
-    add("maximality", cmd_maximality)
-    add("periods", cmd_periods)
-    add("multicurve", cmd_multicurve)
-    add("distance", cmd_distance)
+    # rep_from_args reads --order (the pants shortcut's default order)
+    rep = ("input", "order")
+    add("pants-demo", cmd_pants_demo, "order", "valuation", "radius", "kmax", "maxlen", maxlen=2)
+    add("symplectic-check", cmd_symplectic_check, *rep)
+    add("trace", cmd_trace, *rep, "word")
+    add("translength", cmd_translength, *rep, "valuation", "norm", "word")
+    add("jordan", cmd_jordan, *rep, "valuation", "word")
+    add("closed-point", cmd_closed_point, *rep, "radius")
+    add("maslov", cmd_maslov, "input", "order")
+    add("crossratio", cmd_crossratio, "input")
+    add("maximality", cmd_maximality, *rep)
+    add("periods", cmd_periods, *rep)
+    add("multicurve", cmd_multicurve, *rep, "kmax", "maxlen")
+    add("distance", cmd_distance, "input", "order", "valuation", "norm")
     return parser
 
 

@@ -11,8 +11,14 @@ Grammar (integers, X, + - * / ^ and parentheses):
 '^' binds tighter than unary minus, so -X^2 parses as -(X^2).  Exponents
 are integers (negative allowed, giving Laurent-style input).  Syntax
 errors carry the offending position; dividing by a zero polynomial is
-reported as such.  An optional degree bound rejects a power whose degree
-would exceed it before the power is built, so X^99999999 fails at once.
+reported as such.  An optional degree bound B rejects, before it is
+built, a power whose degree would exceed B, or whose |exponent| times
+the base's coefficient height (the largest ceil(log2 |c|) over the
+numerators and denominators of its coefficients) would exceed
+64 (B + 1) bits: X^99999999, 6^52172538 and ((6^512)^512)^512 fail at
+once, while 0, 1 and -1 take any power.  Parentheses nest at most
+MAX_DEPTH deep, and a run of unary minus signs is read in a loop, so
+no input exhausts the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from .fields import RatFunc, X
 from .poly import Poly
 
 
+MAX_DEPTH = 100  # deepest parenthesis nesting accepted
+
+
 class ParseError(ValueError):
     """Syntax error with the 0-based position in the input string."""
 
@@ -31,11 +40,15 @@ class ParseError(ValueError):
         self.position = position
 
 
+_DIGITS = "0123456789"
+
+
 class _Tokenizer:
     def __init__(self, text: str, max_degree: int | None = None):
         self.text = text
         self.pos = 0
         self.max_degree = max_degree
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         pos = self.pos
@@ -45,9 +58,9 @@ class _Tokenizer:
         if pos >= len(text):
             return ("end", "", pos)
         ch = text[pos]
-        if ch.isdigit():
+        if ch in _DIGITS:
             end = pos
-            while end < len(text) and text[end].isdigit():
+            while end < len(text) and text[end] in _DIGITS:
                 end += 1
             return ("int", text[pos:end], pos)
         if ch == "X":
@@ -66,7 +79,8 @@ def parse_ratfunc(text: str, max_degree: int | None = None) -> RatFunc:
     """Parse an expression into canonical reduced form.
 
     With `max_degree`, a power base^k is rejected when |k| times the
-    degree of the base exceeds it.
+    degree of the base exceeds it, or when |k| times the base's
+    coefficient height exceeds 64 (max_degree + 1) bits.
     """
     tok = _Tokenizer(text, max_degree)
     value = _expr(tok)
@@ -108,11 +122,12 @@ def _term(tok: _Tokenizer) -> RatFunc:
 
 
 def _unary(tok: _Tokenizer) -> RatFunc:
-    kind, _, _ = tok.peek()
-    if kind == "-":
+    negate = False
+    while tok.peek()[0] == "-":
         tok.take()
-        return -_unary(tok)
-    return _power(tok)
+        negate = not negate
+    value = _power(tok)
+    return -value if negate else value
 
 
 def _power(tok: _Tokenizer) -> RatFunc:
@@ -128,25 +143,56 @@ def _power(tok: _Tokenizer) -> RatFunc:
         kind, value, pos = tok.take()
     if kind != "int":
         raise ParseError("integer exponent expected", pos)
-    exponent = -int(value) if negative else int(value)
+    exponent = -_integer(value, pos) if negative else _integer(value, pos)
     if exponent < 0 and base.is_zero():
         raise ParseError("negative power of zero", pos)
-    degree = abs(exponent) * base.degree
-    if tok.max_degree is not None and degree > tok.max_degree:
-        raise ParseError(
-            f"power of degree {degree} exceeds the degree bound {tok.max_degree}", pos
-        )
+    bound = tok.max_degree
+    if bound is not None:
+        degree = abs(exponent) * base.degree
+        if degree > bound:
+            raise ParseError(f"power of degree {degree} exceeds the degree bound {bound}", pos)
+        bits = abs(exponent) * _height(base)
+        if bits > 64 * (bound + 1):
+            raise ParseError(
+                f"power of {bits} coefficient bits exceeds {64 * (bound + 1)}"
+                f" for the degree bound {bound}",
+                pos,
+            )
     return base ** exponent
+
+
+def _height(f: RatFunc) -> int:
+    """Largest ceil(log2 |c|) over the numerators and denominators of f's coefficients."""
+    return max(
+        (
+            (abs(part) - 1).bit_length()
+            for c in f.num.coeffs + f.den.coeffs
+            for part in (c.numerator, c.denominator)
+            if part
+        ),
+        default=0,
+    )
+
+
+def _integer(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
 
 
 def _atom(tok: _Tokenizer) -> RatFunc:
     kind, value, pos = tok.take()
     if kind == "int":
-        return RatFunc(Poly((Fraction(int(value)),)))
+        return RatFunc(Poly((Fraction(_integer(value, pos)),)))
     if kind == "X":
         return X
     if kind == "(":
+        if tok.depth == MAX_DEPTH:
+            raise ParseError(f"parentheses nest deeper than {MAX_DEPTH}", pos)
+        tok.depth += 1
         inner = _expr(tok)
+        tok.depth -= 1
         kind, _, pos = tok.take()
         if kind != ")":
             raise ParseError("expected ')'", pos)

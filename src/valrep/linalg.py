@@ -8,14 +8,17 @@ polynomials come from Berkowitz's division-free recursion, one algorithm
 for every entry ring here.
 
 A `FracMatrix` holds a matrix over Q(X) as N/D: N with integer-polynomial
-entries, D one integer polynomial.  Multiplying two of them multiplies
-the N and the D and needs no gcd, which is what word sweeps do most.
-Each entry of N is Kronecker-packed (Harvey 2009) into one Python int,
-its value at X = 2^b, so a product of N's is n^3 big-int products and
-sums with no Poly built.  The digits are balanced (every |coefficient|
-below 2^(b-1)), which makes an entry's degree exact from its bit length
-alone: a leading digit at position k puts |N_ij(2^b)| strictly between
-2^(kb-1) and 2^((k+1)b-1), so deg N_ij = bit_length // b.
+entries, D one integer polynomial.  A Q(X) matrix is cleared in Z[X]:
+D is the lcm of the primitive parts of its distinct entry denominators,
+with one cofactor per distinct denominator and no division over Q.
+Multiplying two of them multiplies the N and the D and needs no gcd,
+which is what word sweeps do most.  Each entry of N is Kronecker-packed
+(Harvey 2009) into one Python int, its value at X = 2^b, so a product
+of N's is n^3 big-int products and sums with no Poly built.  The digits
+are balanced (every |coefficient| below 2^(b-1)), which makes an
+entry's degree exact from its bit length alone: a leading digit at
+position k puts |N_ij(2^b)| strictly between 2^(kb-1) and
+2^((k+1)b-1), so deg N_ij = bit_length // b.
 
 char_poly(N) runs the same Berkowitz recursion on the packed ints,
 repacked at a width b' wide enough for every coefficient: the T^(n-k)
@@ -35,7 +38,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .fields import RatFunc
-from .poly import Poly, gcd
+from .poly import Poly, exact_quotient, gcd, primitive_gcd, split_content
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -351,21 +354,47 @@ class FracMatrix:
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "FracMatrix":
-        """Clear every entry denominator of m (entries in Q(X) or Q)."""
+        """Clear every entry denominator of m (entries in Q(X) or Q), in Z[X].
+
+        Each distinct denominator is split once into a rational content c
+        and a primitive Z[X] polynomial P.  D is the lcm of the P's, built
+        with the integer subresultant gcd and exact Z[X] quotients (by
+        Gauss's lemma a primitive divisor leaves a Z[X] quotient), and
+        each P gets one cofactor D / P.  An entry a / (c P) is then
+        (a / c)(D / P) over D, and one integer scale of N and D clears
+        the rational content left in the a / c.  D's leading coefficient
+        is positive.
+        """
         entries = [[RatFunc.coerce(e) for e in row] for row in m.entries]
-        den = Poly((Fraction(1),))
+        parts = {}  # non-unit denominator coefficients -> (content, primitive part)
         for row in entries:
             for f in row:
-                if f.den.degree > 0:
-                    den = den * f.den.exact_div(gcd(den, f.den))
-        nums = [[f.num * den.exact_div(f.den) for f in row] for row in entries]
-        scale = 1
-        for p in [den] + [p for row in nums for p in row]:
-            for c in p.coeffs:
-                scale = lcm(scale, c.denominator)
-        return cls.from_polys(
-            [[_integral(p, scale) for p in row] for row in nums], _integral(den, scale)
-        )
+                if f.den.degree > 0 and f.den.coeffs not in parts:
+                    parts[f.den.coeffs] = split_content(f.den)
+        den = _ONE_Z
+        for _, p in parts.values():
+            g = primitive_gcd(den, p) if den.degree > 0 else _ONE_Z
+            if g != p:
+                den = den * (p if g.degree == 0 else exact_quotient(p, g))
+        cofactors = {
+            key: (c, _ONE_Z if p == den else exact_quotient(den, p))
+            for key, (c, p) in parts.items()
+        }
+
+        def divide_content(f):
+            """(coefficients of num / content, cofactor) of one entry."""
+            if f.den.degree == 0:  # the unit denominator: content 1, cofactor D
+                return f.num.coeffs, den
+            content, cofactor = cofactors[f.den.coeffs]
+            return [c / content for c in f.num.coeffs], cofactor
+
+        scaled = [[divide_content(f) for f in row] for row in entries]
+        scale = lcm(1, *(c.denominator for row in scaled for cs, _ in row for c in cs))
+        nums = [
+            [Poly(c.numerator * (scale // c.denominator) for c in cs) * cof for cs, cof in row]
+            for row in scaled
+        ]
+        return cls.from_polys(nums, den * scale)
 
     @classmethod
     def identity(cls, n: int) -> "FracMatrix":
@@ -491,6 +520,7 @@ class FracMatrix:
 
 
 PACK_WIDTH = 64  # the starting Kronecker width b, in bits
+_ONE_Z = Poly((1,))
 
 
 def _width(bound: int, width: int) -> int:
@@ -523,10 +553,6 @@ def _unpack(v: int, width: int) -> Poly:
 def _packed_degree(v: int, width: int) -> int:
     """deg p for v = p(2^width) with balanced digits; -1 for v = 0."""
     return abs(v).bit_length() // width if v else -1
-
-
-def _integral(p: Poly, scale: int) -> Poly:
-    return Poly((c * scale).numerator for c in p.coeffs)
 
 
 def _rational(p: Poly) -> Poly:

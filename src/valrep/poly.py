@@ -188,20 +188,12 @@ class Poly:
         """Order of vanishing at X = a, by repeated synthetic division."""
         return self.deflate_at(a)[0]
 
-    def synthetic_div(self, a) -> "Poly":
-        """Quotient of an exact division by (X - a)."""
-        if self.evaluate(a) != 0:
-            raise ValueError("(X - a) does not divide this polynomial")
-        out = []
-        acc = self.coeffs[-1] * 0
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-            out.append(acc)
-        out.pop()  # the remainder, already known to vanish
-        return Poly(reversed(out))
-
     def deflate_at(self, a) -> tuple[int, "Poly"]:
-        """Write self = (X - a)^k * g with g(a) != 0; returns (k, g)."""
+        """Write self = (X - a)^k * g with g(a) != 0; returns (k, g).
+
+        Each factor of (X - a) costs one Horner pass, whose partial sums
+        are the quotient by (X - a) and whose last sum is the remainder.
+        """
         if self.is_zero():
             raise ValueError("cannot deflate the zero polynomial")
         if a == 0:
@@ -209,11 +201,17 @@ class Poly:
             return k, Poly(self.coeffs[k:])
         if isinstance(a, Fraction) and a.denominator == 1:
             a = a.numerator  # keeps integer coefficients in int arithmetic
-        k, p = 0, self
-        while p.evaluate(a) == 0:
-            p = p.synthetic_div(a)
+        k, coeffs = 0, self.coeffs
+        while True:
+            acc, partial = coeffs[-1] * 0, []
+            for c in reversed(coeffs):
+                acc = acc * a + c
+                partial.append(acc)
+            if acc != 0:
+                return k, (self if k == 0 else Poly(coeffs))
+            partial.pop()
+            coeffs = tuple(reversed(partial))
             k += 1
-        return k, p
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
@@ -235,6 +233,42 @@ def gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, (a % b).monic()
     return a.monic()
+
+
+def split_content(p: Poly) -> tuple[Fraction, Poly]:
+    """(c, q) with p = c * q, q a primitive Z[X] polynomial with positive leading coefficient."""
+    q = _primitive_int(p)
+    if q[0] < 0:
+        q = [-c for c in q]
+    return Fraction(p.leading()) / q[0], Poly(reversed(q))
+
+
+def primitive_gcd(a: Poly, b: Poly) -> Poly:
+    """gcd in Z[X] of primitive integer polynomials, with positive leading coefficient."""
+    return Poly(reversed(_int_poly_gcd(list(reversed(a.coeffs)), list(reversed(b.coeffs)))))
+
+
+def exact_quotient(a: Poly, b: Poly) -> Poly:
+    """a / b in Z[X] for integer polynomials where b divides a over Z.
+
+    By Gauss's lemma that is so whenever b is primitive and divides a over
+    Q.  Every step is an exact integer division; a remainder raises
+    ValueError.
+    """
+    lead, db = b.coeffs[-1], len(b.coeffs) - 1
+    rem = list(a.coeffs)
+    quo = [0] * max(len(rem) - db, 0)
+    for i in reversed(range(len(quo))):
+        q, r = divmod(rem[i + db], lead)
+        if r:
+            raise ValueError("inexact polynomial division")
+        quo[i] = q
+        if q:
+            for j, c in enumerate(b.coeffs):
+                rem[i + j] -= q * c
+    if any(rem[:db]):
+        raise ValueError("inexact polynomial division")
+    return Poly(quo)
 
 
 def _field(c):

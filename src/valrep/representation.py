@@ -7,11 +7,14 @@ by level and deduplicate by conjugacy class (translation length is a
 class function, invariant under inversion), which keeps the reported
 first witness equal to the length-lexicographic first one.
 
-Word images are fraction-free: each generator and inverse is cleared
-once to a FracMatrix N/D (N over Z[X], D in Z[X]), and a product is
-(N1 @ N2) / (D1 * D2), with no gcd.  Each entry of N is packed into one
-Python int, its value at X = 2^b with balanced base-2^b digits, so N1 @ N2
-is a product of int matrices.  Canonical Q(X) matrices are built only
+Word images are fraction-free: each generator is cleared once to a
+FracMatrix N/D (N over Z[X], D in Z[X]).  Its inverse letter is the
+signed rearrangement J^-1 t(N) J over the same D, and the one packed
+product of the two, which must be exactly D^2 I, is also the test that
+the generator is symplectic (`FracMatrix.symplectic_inverse`).  A
+product is (N1 @ N2) / (D1 * D2), with no gcd.  Each entry of N is
+packed into one Python int, its value at X = 2^b with balanced base-2^b
+digits, so N1 @ N2 is a product of int matrices.  Canonical Q(X) matrices are built only
 where a caller asks for one (`evaluate`, `trace`).  The degree guard
 measures the largest degree of a *reduced* entry, as if each entry were
 canonical; since reduction never raises a degree, an entry needs its gcd
@@ -34,7 +37,6 @@ from typing import Iterable, Iterator, Sequence
 from .fields import OrderSpec, RatFunc
 from .linalg import FracMatrix, Matrix
 from .spectra import NORM_SUM, translation_length
-from .symplectic import SymplecticForm, is_symplectic, symplectic_inverse
 from .valuation import Valuation, Value
 from .words import Word, is_class_representative, letter_alphabet
 
@@ -91,15 +93,18 @@ class RepTable:
         if size % 2:
             raise RepresentationError("matrices must have even size 2n")
         self.n = size // 2
-        for name, m in images.items():
-            if not is_symplectic(m, SymplecticForm(self.n)):
-                raise RepresentationError(f"image of {name!r} is not symplectic")
-        self.presentation = presentation
-        self.images = dict(images)
         self.letters = {}
         for name, m in images.items():
-            self.letters[(name, 1)] = FracMatrix.from_matrix(m)
-            self.letters[(name, -1)] = FracMatrix.from_matrix(symplectic_inverse(m))
+            if not m.is_square:
+                raise ValueError("symplectic matrices have even size")
+            image = FracMatrix.from_matrix(m)
+            inverse = image.symplectic_inverse()
+            if inverse is None:
+                raise RepresentationError(f"image of {name!r} is not symplectic")
+            self.letters[(name, 1)] = image
+            self.letters[(name, -1)] = inverse
+        self.presentation = presentation
+        self.images = dict(images)
         self.order = order
         self.valuation = valuation
         self.free_generators = tuple(free_generators or presentation.generators)

@@ -365,3 +365,50 @@ def frac_ball(rep, radius, generators=None, degree_bound=None):
 
     identity = FracMatrix.identity(rep.size)
     return _oracle_ball(rep, radius, identity, rep.letters, lambda a, b: a @ b, guard, generators)
+
+
+def qx_from_matrix(m):
+    """FracMatrix.from_matrix by Q[X] arithmetic, one entry at a time.
+
+    D is the monic lcm of the entry denominators, grown by a gcd and a
+    Q[X] division per non-constant denominator; each numerator is
+    num * (D / den), and one integer scale clears every coefficient.
+    """
+    from math import lcm
+
+    from valrep.linalg import FracMatrix
+    from valrep.poly import gcd
+
+    entries = [[RatFunc.coerce(e) for e in row] for row in m.entries]
+    den = Poly((Fraction(1),))
+    for row in entries:
+        for f in row:
+            if f.den.degree > 0:
+                den = den * f.den.exact_div(gcd(den, f.den))
+    nums = [[f.num * den.exact_div(f.den) for f in row] for row in entries]
+    scale = 1
+    for p in [den] + [p for row in nums for p in row]:
+        for c in p.coeffs:
+            scale = lcm(scale, c.denominator)
+
+    def integral(p):
+        return Poly((c * scale).numerator for c in p.coeffs)
+
+    return FracMatrix.from_polys([[integral(p) for p in row] for row in nums], integral(den))
+
+
+def two_pass_deflate(p, a):
+    """Poly.deflate_at by an evaluate pass, then a synthetic-division pass, per factor."""
+    if a == 0:
+        k = next(i for i, c in enumerate(p.coeffs) if c != 0)
+        return k, Poly(p.coeffs[k:])
+    k = 0
+    while p.evaluate(a) == 0:
+        out, acc = [], p.coeffs[-1] * 0
+        for c in reversed(p.coeffs):
+            acc = acc * a + c
+            out.append(acc)
+        out.pop()  # the remainder, already known to vanish
+        p = Poly(reversed(out))
+        k += 1
+    return k, p

@@ -305,3 +305,67 @@ def test_reports_validate_against_shipped_schema():
         text=True,
     )
     jsonschema.validate(json.loads(proc.stdout), schema)
+
+
+ADVERSARIAL_ENTRIES = {
+    "constant power": "6^52172538",
+    "constant tower": "((6^512)^512)^512",
+    "nested parentheses": "(" * 3000 + "X" + ")" * 3000,
+    "unary minus run": "-" * 5000 + "X^600",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_ENTRIES))
+def test_adversarial_expressions_exit_2_at_once(name):
+    payload = json.dumps({"matrix": [[ADVERSARIAL_ENTRIES[name], "0"], ["0", "1"]]})
+    started = time.monotonic()
+    report = run_cli("translength", "--valuation", "adic:0", "--json", payload, expect=2)
+    assert time.monotonic() - started < 5
+    assert report["error"]["code"] == "input"
+
+
+BAD_IMAGES = {
+    "image of 'a' is not symplectic": [["2", "0"], ["0", "1"]],
+    "symplectic matrices have even size": [["1", "0", "0"], ["0", "1", "0"]],
+}
+
+
+@pytest.mark.parametrize("message", sorted(BAD_IMAGES))
+def test_bad_generator_image_reports(message):
+    rep = {
+        "presentation": {"generators": ["a"], "relators": []},
+        "order": "aplus:0",
+        "valuation": "adic:0",
+        "images": {"a": BAD_IMAGES[message]},
+    }
+    proc = subprocess.run(
+        PY + ["closed-point", "--json", json.dumps(rep)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == _error_report(message)
+
+
+# one flag per subcommand that the subcommand does not read
+UNREAD_FLAGS = {
+    "pants-demo": ["--word", "c1"],
+    "symplectic-check": ["--radius", "3"],
+    "trace": ["--norm", "sum"],
+    "translength": ["--kmax", "3"],
+    "jordan": ["--norm", "sum"],
+    "closed-point": ["--valuation", "adic:0"],
+    "maslov": ["--kmax", "3"],
+    "crossratio": ["--order", "plusinf"],
+    "maximality": ["--word", "a"],
+    "periods": ["--maxlen", "2"],
+    "multicurve": ["--radius", "3"],
+    "distance": ["--word", "a"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNREAD_FLAGS))
+def test_unread_flags_are_rejected(command):
+    from valrep import cli
+
+    with pytest.raises(SystemExit) as exit_:
+        cli.build_parser().parse_args([command, *UNREAD_FLAGS[command]])
+    assert exit_.value.code == 2

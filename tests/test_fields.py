@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from valrep.fields import ONE, OrderSpec, RatFunc, X, format_ratfunc
 from valrep.poly import Poly
@@ -74,6 +75,48 @@ def test_order_is_total_and_compatible(order):
         assert order.sign(f * f) in (0, 1)
         # trichotomy for the comparison
         assert order.compare(f, g) == -order.compare(g, f)
+
+
+small = st.integers(-5, 5)
+anchors = st.builds(Fraction, small, st.integers(1, 3))
+orders = st.one_of(
+    anchors.map(OrderSpec.at_plus),
+    anchors.map(OrderSpec.at_minus),
+    st.just(OrderSpec.plus_infinity()),
+    st.just(OrderSpec.minus_infinity()),
+)
+
+
+@st.composite
+def elements(draw, order):
+    """Elements of Q(X), often with a factor (X - a)^k at the order's anchor."""
+    def poly():
+        return Poly(draw(st.lists(st.builds(Fraction, small, st.integers(1, 3)), max_size=4)))
+
+    num, den = poly(), poly()
+    if den.is_zero():
+        den = Poly((Fraction(1),))
+    if order.a is not None:
+        num = num * Poly((-order.a, Fraction(1))) ** draw(st.integers(0, 3))
+        den = den * Poly((-order.a, Fraction(1))) ** draw(st.integers(0, 2))
+    return RatFunc(num, den)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_ordered_field_axioms(data):
+    order = data.draw(orders)
+    x, y, z = (data.draw(elements(order)) for _ in range(3))
+    sx, sy = order.sign(x), order.sign(y)
+    # trichotomy: exactly one of x < 0, x = 0, x > 0
+    assert sx in (-1, 0, 1) and (sx == 0) == x.is_zero()
+    assert order.sign(-x) == -sx
+    assert order.sign(x * y) == sx * sy
+    if sx > 0 and sy > 0:
+        assert order.sign(x + y) > 0
+    assert order.compare(x, y) == -order.compare(y, x)
+    if order.compare(x, y) <= 0 and order.compare(y, z) <= 0:
+        assert order.compare(x, z) <= 0
 
 
 @pytest.mark.parametrize("order", ALL_ORDERS)

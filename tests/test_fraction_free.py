@@ -3,21 +3,31 @@
 Berkowitz char polys against Faddeev-LeVerrier, Kronecker-packed FracMatrix
 products and char polys against schoolbook Poly-matrix products and
 Berkowitz over Poly entries, the fraction-free building pseudodistance
-against its Q(X) definition, and FracMatrix word sweeps against sweeps by
-canonical Q(X) products (oracles in helpers.py).
+against its Q(X) definition, FracMatrix word sweeps against sweeps by
+canonical Q(X) products, the Z[X] clearing of Q(X) matrices against its
+Q[X] version, and generator letters against the Q(X) inverse (oracles
+in helpers.py).
 """
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from valrep import linalg
 from valrep.fields import OrderSpec, RatFunc, X
 from valrep.linalg import FracMatrix, Matrix, _pack, _packed_degree, _unpack
 from valrep.pants import pants_rep
 from valrep.poly import Poly
-from valrep.representation import DegreeGuardExceeded, GroupPresentation, RepTable
+from valrep.representation import (
+    DegreeGuardExceeded,
+    GroupPresentation,
+    RepresentationError,
+    RepTable,
+)
 from valrep.spectra import NORM_SPREAD, NORM_SUM, building_pseudodistance, translation_length
+from valrep.symplectic import symplectic_inverse
 from valrep.valuation import Valuation
 from valrep.words import is_class_representative
 
@@ -25,6 +35,7 @@ from helpers import (
     faddeev_leverrier,
     poly_matrix_ball,
     poly_matrix_product,
+    qx_from_matrix,
     qx_pseudodistance,
     ratfunc_ball,
     ratfunc_translation_length,
@@ -85,6 +96,86 @@ def test_fraction_free_roundtrip_and_char_poly(m):
     coeffs = image.num.char_poly().coeffs
     expected = [RatFunc(q(c * image.den**k), top) for k, c in enumerate(coeffs)]
     assert Poly(expected) == m.char_poly()
+
+
+# -- clearing denominators in Z[X] ------------------------------------------------
+
+# X + 1/2 has rational content, X^2 - 1/4 shares its factor, X^2 + 1 is irreducible
+DEN_FACTORS = (X + R(Fraction(1, 2)), X**2 - R(Fraction(1, 4)), X - 1, X**2 + 1, X)
+
+
+@st.composite
+def shared_denominator_matrices(draw):
+    """1x1 up to 6x6 matrices whose entries reuse, repeat and combine a few denominators.
+
+    An entry is zero, has the unit denominator, or has a product of up to
+    three picks from DEN_FACTORS, times a rational; one row may be all zero.
+    """
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = []
+    for _ in range(rows * cols):
+        kind = draw(st.sampled_from(("zero", "unit", "shared", "shared")))
+        if kind == "zero":
+            entries.append(R(0))
+            continue
+        num = RatFunc(Poly(draw(st.lists(rationals, min_size=1, max_size=3))))
+        if kind == "shared":
+            for factor in draw(st.lists(st.sampled_from(DEN_FACTORS), min_size=1, max_size=3)):
+                num = num / factor
+        entries.append(num * R(draw(rationals.filter(bool))))
+    grid = [entries[i * cols : (i + 1) * cols] for i in range(rows)]
+    if draw(st.booleans()):
+        grid[draw(st.integers(0, rows - 1))] = [R(0)] * cols
+    return Matrix(grid)
+
+
+def _non_unit_denominators(m):
+    return {e.den.coeffs for row in m.entries for e in row if e.den.degree > 0}
+
+
+@given(shared_denominator_matrices())
+def test_from_matrix_matches_qx_clearing(m):
+    fast, slow = FracMatrix.from_matrix(m), qx_from_matrix(m)
+    assert fast.to_matrix() == slow.to_matrix() == m
+    assert fast.den.leading() > 0
+    assert all(type(c) is int for c in fast.den.coeffs)
+    for row, slow_row in zip(fast.num.entries, slow.num.entries):
+        for n, slow_n in zip(row, slow_row):
+            assert all(type(c) is int for c in n.coeffs)
+            assert n * slow.den == slow_n * fast.den
+
+
+@settings(max_examples=40)
+@given(shared_denominator_matrices())
+def test_from_matrix_divides_at_most_twice_per_denominator(m):
+    calls = {"exact_quotient": 0, "primitive_gcd": 0}
+
+    def counting(name):
+        original = getattr(linalg, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return patch.object(linalg, name, wrapper)
+
+    with counting("exact_quotient"), counting("primitive_gcd"):
+        FracMatrix.from_matrix(m)
+    distinct = len(_non_unit_denominators(m))
+    assert calls["exact_quotient"] <= 2 * distinct
+    assert calls["primitive_gcd"] <= distinct
+
+
+def test_from_matrix_scales_each_numerator_by_its_own_content():
+    # (1/2)/(X + 1/2) = 1/(2X + 1): the numerator must be divided by the
+    # content 1/2 of its own denominator, beside entries with other contents
+    m = Matrix([[R(Fraction(1, 2)) / (X + R(Fraction(1, 2))), R(1) / (X - R(Fraction(1, 3)))],
+                [R(3), R(1) / (X**2 - R(Fraction(1, 4)))]])
+    image = FracMatrix.from_matrix(m)
+    assert image.to_matrix() == m
+    # D = lcm(2X+1, 3X-1, 4X^2-1) = 12X^3-4X^2-3X+1, and 1/(2X+1) = (3X-1)(2X-1)/D
+    assert image.den == Poly((1, -3, -4, 12))
+    assert image.num[0, 0] == Poly((1, -5, 6))
 
 
 # -- Kronecker-packed entries ----------------------------------------------------
@@ -402,3 +493,44 @@ def test_symplectic_inverse_rejects_a_unit_diagonal_non_symplectic():
     assert FracMatrix.from_matrix(sl2).symplectic_inverse().to_matrix() == sl2.inverse()
     odd = Matrix([[R(1)]])
     assert FracMatrix.from_matrix(odd).symplectic_inverse() is None
+
+
+# -- generator letters ------------------------------------------------------------
+
+
+def one_generator(image):
+    return RepTable(
+        GroupPresentation(("a",), ()), {"a": image}, OrderSpec.at_plus(1), Valuation.adic(1)
+    )
+
+
+@settings(max_examples=40)
+@given(generic_symplectic())
+def test_rep_letters_match_the_qx_inverse(g):
+    rep = one_generator(g)
+    assert rep.letters[("a", 1)].to_matrix() == g
+    expected = FracMatrix.from_matrix(symplectic_inverse(g))
+    inverse = rep.letters[("a", -1)]
+    assert inverse.to_matrix() == expected.to_matrix()
+    for row, expected_row in zip(inverse.num.entries, expected.num.entries):
+        for n, expected_n in zip(row, expected_row):
+            assert n * expected.den == expected_n * inverse.den
+
+
+@settings(max_examples=20)
+@given(generic_symplectic())
+def test_rep_rejects_non_symplectic_images(g):
+    # scaled(g) fails off the diagonal of the check; 2g only on the diagonal (4 D^2 I)
+    for bad in (scaled(g), g.scale(R(2))):
+        with pytest.raises(RepresentationError) as err:
+            one_generator(bad)
+        assert str(err.value) == "image of 'a' is not symplectic"
+
+
+def test_rep_rejects_non_square_images():
+    for rows in ([[R(1), R(0), R(0)], [R(0), R(1), R(0)]],
+                 [[R(1), R(0)], [R(0), R(1)], [R(0), R(0)], [R(0), R(0)]]):
+        with pytest.raises(ValueError) as err:
+            one_generator(Matrix(rows))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "symplectic matrices have even size"

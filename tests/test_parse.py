@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from valrep.exprparse import ParseError, parse_ratfunc
 from valrep.fields import ONE, RatFunc, X, format_ratfunc
@@ -80,3 +81,48 @@ def test_degree_bound_on_powers():
         with pytest.raises(ParseError, match=f"degree {degree} exceeds the degree bound 4"):
             parse_ratfunc(text, max_degree=4)
     assert parse_ratfunc("X^5") == X ** 5
+
+
+def test_constant_powers_count_against_the_bound():
+    # |k| * ceil(log2 |c|) bits against 64 * (B + 1): 6^52172538 would take minutes
+    for text, bits in (("6^52172538", 156517614), ("(1/9)^-921307188", 3685228752),
+                       ("((6^512)^512)^512", 677888)):
+        with pytest.raises(ParseError, match=f"power of {bits} coefficient bits exceeds 32832"):
+            parse_ratfunc(text, max_degree=512)
+    assert parse_ratfunc("2^3", max_degree=0) == 8
+    assert parse_ratfunc("(6^512)^2", max_degree=512) == RatFunc.coerce(6**1024)
+    for text in ("1^99999999", "(-1)^99999999", "0^99999999", "(X-X+1)^-99999999"):
+        assert parse_ratfunc(text, max_degree=0).is_constant()
+
+
+def test_deep_nesting_is_a_parse_error():
+    deep = "(" * 3000 + "X" + ")" * 3000
+    with pytest.raises(ParseError) as err:
+        parse_ratfunc(deep, 512)
+    assert err.value.position == 100
+    assert parse_ratfunc("(" * 100 + "X" + ")" * 100) == X
+    assert parse_ratfunc("-" * 5000 + "X") == X
+    assert parse_ratfunc("-" * 5001 + "X^2") == -(X**2)
+
+
+def test_overlong_integers_and_foreign_digits_are_parse_errors():
+    with pytest.raises(ParseError, match="integer of 5000 digits is too long"):
+        parse_ratfunc("1" * 5000)
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_ratfunc("X^\u00b2")
+
+
+# the grammar's alphabet, plus a few whole numbers so that powers and their bounds occur
+TOKENS = list("0123456789X+-*/^() ") + ["12", "99", "512", "513", "52172538"]
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.lists(st.sampled_from(TOKENS), max_size=24).map("".join),
+                 st.text(max_size=12)))
+def test_parser_returns_a_value_or_a_parse_error(text):
+    try:
+        value = parse_ratfunc(text, 512)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+    else:
+        assert isinstance(value, RatFunc)
