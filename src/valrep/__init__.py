@@ -9,7 +9,6 @@ from .linalg import Matrix
 from .poly import Poly
 from .symplectic import (
     Lagrangian,
-    SymplecticForm,
     crossratio,
     is_maximal_triple,
     is_symplectic,
@@ -19,7 +18,6 @@ from .spectra import (
     NORM_SPREAD,
     NORM_SUM,
     building_pseudodistance,
-    char_poly,
     jordan_valuation,
     translation_length,
 )
@@ -48,7 +46,6 @@ from .currents import (
     crossratio_axiom_check,
     crossratio_value,
     lamination_dichotomy_check,
-    multicurve_certificate,
     multicurve_certificate_ball,
     period,
     period_via_length,

@@ -14,11 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .currents import (
-    certify_period_values,
-    multicurve_certificate_ball,
-    period_via_length,
-)
+from .currents import multicurve_certificate_ball, period_via_length
 from .exprparse import ParseError, parse_ratfunc
 from .fields import OrderSpec, RatFunc, format_ratfunc
 from .framing import FramingTable, verify_maximal_framing

@@ -49,7 +49,7 @@ from .representation import RepTable
 from .spectra import NORM_SUM, translation_length
 from .symplectic import TransversalityError, pairing_matrix
 from .valuation import INFINITY, Valuation, Value
-from .words import Word, is_class_representative, is_power_of_class, word_ball
+from .words import Word, is_class_representative, is_power_of_class
 
 Label = Hashable
 
@@ -263,13 +263,6 @@ def certify_period_values(
     if k <= k_max:
         return MulticurveCertified(k, tuple(periods))
     return DiscretenessUnknown(k_max, tuple(periods))
-
-
-def multicurve_certificate(
-    rep: RepTable, words: Sequence[Word], k_max: int = 16
-) -> Classification:
-    periods = [(w, period_via_length(rep, w).period) for w in words]
-    return certify_period_values(periods, k_max)
 
 
 def multicurve_certificate_ball(

@@ -173,9 +173,6 @@ class RatFunc:
                 base = base * base
         return out
 
-    def inverse(self) -> "RatFunc":
-        return ONE / self
-
     # -- evaluation and size ---------------------------------------------
 
     def evaluate(self, t: Rationalish) -> Fraction:
@@ -326,7 +323,7 @@ class OrderSpec:
         if self.kind in ("a_plus", "a_minus"):
             k_num, g_num = f.num.deflate_at(self.a)
             k_den, g_den = f.den.deflate_at(self.a)
-            s = _sign_q(g_num.evaluate(self.a)) * _sign_q(g_den.evaluate(self.a))
+            s = _sign_q(g_num) * _sign_q(g_den)
             if self.kind == "a_minus" and (k_num - k_den) % 2:
                 s = -s
             return s
@@ -338,10 +335,6 @@ class OrderSpec:
     def compare(self, f, g) -> int:
         """Total-order comparison: -1 if f < g, 0 if f = g, +1 if f > g."""
         return self.sign(RatFunc.coerce(f) - RatFunc.coerce(g))
-
-    def abs(self, f) -> RatFunc:
-        f = RatFunc.coerce(f)
-        return -f if self.sign(f) < 0 else f
 
     def infinitely_large_element(self) -> RatFunc:
         """A canonical element exceeding every rational constant in this order."""

@@ -6,22 +6,27 @@ label, and an optional group action on labels.  Maximality means every
 positively oriented triple of labels maps to a Maslov-maximal triple;
 equivariance is checked on the listed symmetries only.
 
-Attracting Lagrangians of hyperbolic elements are computed exactly: the
-characteristic polynomial is factored over Q(X), the n
-valuation-dominant eigenvalues are collected (requiring a strict slope
-gap to the rest), and the span of their eigenspaces is verified to be
-Lagrangian.  Non-split dominant spectrum is reported, never approximated.
+Attracting Lagrangians of hyperbolic elements are computed exactly: g is
+cleared to N/D over Z[X] (`FracMatrix`), char_poly(N) is factored over
+Z[X] and its linear roots divided by D, the n valuation-dominant
+eigenvalues are collected (requiring a strict slope gap to the rest), and
+the span of their eigenspaces is verified to be Lagrangian.  Non-split
+dominant spectrum is reported, never approximated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Hashable, Iterator, Sequence
 
-from .linalg import Matrix
+from .fields import RatFunc
+from .linalg import FracMatrix, Matrix
+from .poly import Poly
 from .representation import RepTable
 from .roots import NonSplitError, linear_eigenvalues
-from .symplectic import Lagrangian, maslov
+from .spectra import char_poly_polygon
+from .symplectic import Lagrangian, maslov, symplectic_inverse
 from .valuation import Valuation
 from .words import Word
 
@@ -114,21 +119,19 @@ def verify_maximal_framing(rep: RepTable, framing: FramingTable) -> FramingRepor
 def attracting_lagrangian(g: Matrix, val: Valuation) -> Lagrangian:
     """Span of the eigenspaces of the n valuation-dominant eigenvalues.
 
-    Preconditions checked: the dominant block splits over Q(X), there is
-    a strict valuation gap below the remaining spectrum, and the block is
-    diagonalizable (eigenspace dimensions match multiplicities).  The
-    resulting span is validated as a Lagrangian by construction of
-    Lagrangian.span.
+    g is cleared once to N/D over Z[X]; the Newton polygon comes from
+    char_poly(N) and nu(D), and the eigenvalues in Q(X) are the linear
+    roots of char_poly(N), divided by D.  Preconditions checked: the
+    dominant block splits over Q(X), there is a strict valuation gap below
+    the remaining spectrum, and the block is diagonalizable (eigenspace
+    dimensions match multiplicities).  The resulting span is validated as
+    a Lagrangian by construction of Lagrangian.span.
     """
     if g.rows % 2:
         raise ValueError("attracting Lagrangians need a 2n x 2n matrix")
     n = g.rows // 2
-    p = g.char_poly()
-    roots, nonsplit = linear_eigenvalues(p)
-    from .valuation import newton_polygon
-
-    polygon = newton_polygon(p, val)
-    all_vals = polygon.expanded()
+    image = FracMatrix.from_matrix(g)
+    all_vals = char_poly_polygon(image, val).expanded()
     if len(all_vals) != 2 * n:
         raise ValueError("matrix is singular")
     gap_low, gap_high = all_vals[n - 1], all_vals[n]
@@ -136,7 +139,10 @@ def attracting_lagrangian(g: Matrix, val: Valuation) -> Lagrangian:
         raise SlopeTieError(
             f"no strict valuation gap: values {gap_low} and {gap_high} tie at position n"
         )
-    dominant = [(root, mult) for root, mult in roots if val.of(root) <= gap_low]
+    roots, _ = linear_eigenvalues(image.char_poly())
+    den = RatFunc(Poly(map(Fraction, image.den.coeffs)))
+    eigenvalues = sorted(((mu / den, m) for mu, m in roots), key=lambda rm: (str(rm[0]), rm[1]))
+    dominant = [(root, mult) for root, mult in eigenvalues if val.of(root) <= gap_low]
     covered = sum(m for _, m in dominant)
     if covered != n:
         raise NonSplitError(
@@ -156,6 +162,4 @@ def attracting_lagrangian(g: Matrix, val: Valuation) -> Lagrangian:
 
 
 def repelling_lagrangian(g: Matrix, val: Valuation) -> Lagrangian:
-    from .symplectic import symplectic_inverse
-
     return attracting_lagrangian(symplectic_inverse(g), val)

@@ -27,7 +27,8 @@ coefficient is +-e_k(N), bounded by B = max_k C(n,k) k! L^(k-1) M^k
 least doubling of b with 2B < 2^b'.  Evaluation at 2^b' is a ring map,
 so no intermediate value needs a bound.  A symplectic N/D is inverted
 with no arithmetic: J^-1 t(N) J / D is a signed rearrangement of the
-packed entries, confirmed by one packed product equal to D^2 I.
+packed entries (`symplectic_rearrangement`, which works on any grid of
+entries), confirmed by one packed product equal to D^2 I.
 """
 
 from __future__ import annotations
@@ -139,13 +140,6 @@ class Matrix:
                 out_row.append(acc)
             out.append(out_row)
         return Matrix(out)
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self.__matmul__(other)
-        return self.scale(other)
-
-    __rmul__ = scale
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.entries))
@@ -298,6 +292,23 @@ class Matrix:
         return Matrix([fn(e) for e in row] for row in self.entries)
 
 
+def symplectic_rearrangement(g: Sequence[Sequence]) -> list[list]:
+    """J^-1 t(g) J for a 2n x 2n grid of entries g, with J = [[0, I], [-I, 0]].
+
+    For g = [[A, B], [C, E]] in n x n blocks this is [[tE, -tB], [-tC, tA]],
+    the inverse of g when g is symplectic.  Only negation is needed.
+    """
+    size = len(g)
+    if size % 2 or any(len(row) != size for row in g):
+        raise ValueError("symplectic matrices have even size")
+    n = size // 2
+    top = [
+        [g[j + n][i + n] for j in range(n)] + [-g[j][i + n] for j in range(n)] for i in range(n)
+    ]
+    bottom = [[-g[j + n][i] for j in range(n)] + [g[j][i] for j in range(n)] for i in range(n)]
+    return top + bottom
+
+
 def _dot(xs: Sequence, ys: Sequence):
     return _sum([x * y for x, y in zip(xs, ys)])
 
@@ -429,25 +440,15 @@ class FracMatrix:
     def symplectic_inverse(self) -> "FracMatrix | None":
         """(N/D)^-1 as J^-1 t(N) J / D if N/D is symplectic, else None.
 
-        For N = [[A, B], [C, E]] that numerator is [[tE, -tB], [-tC, tA]],
-        a signed rearrangement of the packed entries over the same D.  It
-        is the inverse exactly when its product with N is D^2 I: zero off
-        the diagonal, and D^2 on it.
+        That numerator is `symplectic_rearrangement` of the packed
+        entries, over the same D.  It is the inverse exactly when its
+        product with N is D^2 I: zero off the diagonal, and D^2 on it.
         """
         size = len(self.packed)
         if size % 2 or any(len(row) != size for row in self.packed):
             return None
-        n, p = size // 2, self.packed
-        top = [
-            [p[j + n][i + n] for j in range(n)] + [-p[j][i + n] for j in range(n)]
-            for i in range(n)
-        ]
-        bottom = [
-            [-p[j + n][i] for j in range(n)] + [p[j][i] for j in range(n)] for i in range(n)
-        ]
-        inverse = FracMatrix(
-            tuple(map(tuple, top + bottom)), self.den, self.width, self.bound, self.length
-        )
+        packed = tuple(map(tuple, symplectic_rearrangement(self.packed)))
+        inverse = FracMatrix(packed, self.den, self.width, self.bound, self.length)
         check = inverse @ self
         product = check.packed
         if any(v for i, row in enumerate(product) for j, v in enumerate(row) if i != j):

@@ -1,16 +1,17 @@
-"""Dense univariate polynomials over an exact field.
+"""Dense univariate polynomials over an exact ring.
 
 A polynomial is stored as a tuple of coefficients, lowest degree first,
 with a nonzero last entry; the empty tuple is the zero polynomial.  The
-coefficient field is duck-typed: anything supporting +, -, *, / and
+coefficient ring is duck-typed: anything supporting +, -, * and
 comparison with 0 works, which in this package means `fractions.Fraction`
 (polynomials in X over Q), `int` (the Z[X] numerators and denominators of
-fraction-free word images), `RatFunc` (characteristic polynomials in T
-over Q(X)) and `Poly` itself (characteristic polynomials in T over Z[X]).
+fraction-free Q(X) matrices) and `Poly` itself (characteristic
+polynomials in T over Z[X]).
 
-Ring operations (+, -, *) work over any of these.  Division, gcd and
-multiplicity counting use exact field arithmetic (an int divisor acts as
-a Fraction, so Z[X] divides in Q[X]); nothing here ever rounds.
+Ring operations (+, -, *) work over any of these.  Division and
+multiplicity counting need a field (an int divisor acts as a Fraction,
+so Z[X] divides in Q[X]); gcd takes Q[X] and Z[X] polynomials only, and
+the integer routines at the end stay in Z[X].  Nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -154,9 +155,6 @@ class Poly:
                 rem[i + j] = rem[i + j] - q * oc
         return Poly(quo), Poly(rem[: other.degree])
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(self._coerce(other))[0]
-
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(self._coerce(other))[1]
 
@@ -188,17 +186,18 @@ class Poly:
         """Order of vanishing at X = a, by repeated synthetic division."""
         return self.deflate_at(a)[0]
 
-    def deflate_at(self, a) -> tuple[int, "Poly"]:
-        """Write self = (X - a)^k * g with g(a) != 0; returns (k, g).
+    def deflate_at(self, a) -> tuple:
+        """Write self = (X - a)^k * g with g(a) != 0; returns (k, g(a)).
 
         Each factor of (X - a) costs one Horner pass, whose partial sums
         are the quotient by (X - a) and whose last sum is the remainder.
+        The first pass with a nonzero remainder has evaluated g at a.
         """
         if self.is_zero():
             raise ValueError("cannot deflate the zero polynomial")
         if a == 0:
             k = next(i for i, c in enumerate(self.coeffs) if c != 0)
-            return k, Poly(self.coeffs[k:])
+            return k, self.coeffs[k]
         if isinstance(a, Fraction) and a.denominator == 1:
             a = a.numerator  # keeps integer coefficients in int arithmetic
         k, coeffs = 0, self.coeffs
@@ -208,31 +207,25 @@ class Poly:
                 acc = acc * a + c
                 partial.append(acc)
             if acc != 0:
-                return k, (self if k == 0 else Poly(coeffs))
+                return k, acc
             partial.pop()
             coeffs = tuple(reversed(partial))
             k += 1
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the coefficient field.
+    """Monic gcd over Q of polynomials with int or Fraction coefficients.
 
-    Over Q the computation runs on primitive integer coefficients with a
+    The computation runs on primitive integer coefficients with a
     subresultant pseudo-remainder sequence, which avoids the Fraction
-    blow-up of naive Euclid; other coefficient fields fall back to the
-    monic Euclidean algorithm.
+    blow-up of naive Euclid.
     """
     if a.is_zero():
         return b.monic()
     if b.is_zero():
         return a.monic()
-    if isinstance(a.coeffs[0], (int, Fraction)) and isinstance(b.coeffs[0], (int, Fraction)):
-        g = _int_poly_gcd(_primitive_int(a), _primitive_int(b))
-        lead = g[0]
-        return Poly(Fraction(c, lead) for c in reversed(g))
-    while not b.is_zero():
-        a, b = b, (a % b).monic()
-    return a.monic()
+    g = _int_poly_gcd(_primitive_int(a), _primitive_int(b))
+    return Poly(Fraction(c, g[0]) for c in reversed(g))
 
 
 def split_content(p: Poly) -> tuple[Fraction, Poly]:

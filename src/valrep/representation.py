@@ -30,9 +30,9 @@ only ever reported as Unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .fields import OrderSpec, RatFunc
 from .linalg import FracMatrix, Matrix

@@ -1,10 +1,11 @@
 """Exact eigenvalue extraction over Q(X) via bivariate factorization.
 
-Characteristic polynomials of the matrices handled here live in
-Q(X)[T].  Clearing denominators gives an element of Q[X, T]; sympy's
-exact factorization then exposes the factors that are linear in T, whose
-roots are the eigenvalues lying in Q(X).  Factors of higher T-degree are
-reported as a non-split remainder, never approximated.
+A matrix over Q(X) is cleared to N/D over Z[X] (`FracMatrix`), and its
+eigenvalues are those of N divided by D.  char_poly(N) lies in Z[X][T],
+that is in Z[X, T], so sympy's exact factorization over the integers
+exposes the factors that are linear in T, whose roots are the
+eigenvalues of N lying in Q(X).  Factors of higher T-degree are reported
+as a non-split remainder, never approximated.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ class NonSplitError(ValueError):
 
 
 def linear_eigenvalues(p: Poly) -> tuple[list[tuple[RatFunc, int]], int]:
-    """Roots of p (coefficients in Q(X)) that lie in Q(X).
+    """Roots of p in Z[X][T] (coefficients integer Polys in X) that lie in Q(X).
 
     Returns (roots, nonsplit_degree): `roots` pairs each Q(X) root with
     its multiplicity, sorted deterministically; `nonsplit_degree` counts
@@ -31,23 +32,10 @@ def linear_eigenvalues(p: Poly) -> tuple[list[tuple[RatFunc, int]], int]:
     _T, _X = sympy.symbols("T X")
     if p.is_zero():
         raise ValueError("zero polynomial")
-    coeffs = [RatFunc.coerce(c) for c in p.coeffs]
-    den = Poly((Fraction(1),))
-    from .poly import gcd as poly_gcd
-
-    for c in coeffs:
-        g = poly_gcd(den, c.den)
-        den = den * c.den.exact_div(g)
-    expr = sympy.Integer(0)
-    for i, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        scaled = c.num * den.exact_div(c.den)
-        for j, q in enumerate(scaled.coeffs):
-            if q == 0:
-                continue
-            expr += sympy.Rational(q.numerator, q.denominator) * _X**j * _T**i
-    _, factors = sympy.factor_list(sympy.Poly(expr, _T, _X))
+    terms = {
+        (i, j): c for i, cx in enumerate(p.coeffs) for j, c in enumerate(cx.coeffs) if c
+    }
+    _, factors = sympy.factor_list(sympy.Poly.from_dict(terms, _T, _X))
     roots: list[tuple[RatFunc, int]] = []
     nonsplit = 0
     for factor, mult in factors:

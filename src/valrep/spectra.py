@@ -38,11 +38,6 @@ class NonSymplecticSpectrumError(ValueError):
     """Char-poly valuations failed the lambda <-> 1/lambda symmetry."""
 
 
-def char_poly(g: Matrix):
-    """Monic characteristic polynomial of g (exact)."""
-    return g.char_poly()
-
-
 def char_poly_polygon(g: Matrix | FracMatrix, val: Valuation) -> NewtonPolygonResult:
     """Newton polygon of char_poly(g) over (Q(X), nu), read fraction-free.
 

@@ -5,6 +5,13 @@ x2.y1, i.e. the Gram matrix J = [[0, I], [-I, 0]].  Lagrangians are
 n-dimensional isotropic subspaces, stored in a reduced column echelon
 canonical form so that equality is structural.
 
+For g = [[A, B], [C, E]] in n x n blocks, J^-1 t(g) J is the signed
+rearrangement [[tE, -tB], [-tC, tA]] (`linalg.symplectic_rearrangement`);
+g is symplectic exactly when that is its inverse.  `is_symplectic` tests
+this on g cleared to N/D over Z[X], by one packed product equal to D^2 I
+(`FracMatrix.symplectic_inverse`), and `symplectic_inverse` only
+rearranges; neither multiplies by J.
+
 Write Omega(a, b) for the n x n matrix of pairings <a_i, b_j> between the
 basis columns of two Lagrangians.  l1 is transverse to l2 exactly when
 det Omega(l1, l2) != 0: a vector of l1 pairing to zero with all of l2
@@ -36,11 +43,10 @@ which needs only four n x n determinants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import OrderSpec, element_sign
-from .linalg import Matrix, SingularMatrixError
+from .linalg import FracMatrix, Matrix, SingularMatrixError, symplectic_rearrangement
 
 
 class IsotropyError(ValueError):
@@ -49,26 +55,6 @@ class IsotropyError(ValueError):
 
 class TransversalityError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The standard form on K^{2n}, determined by the half-dimension n."""
-
-    n: int
-
-    def gram(self, one=Fraction(1)) -> Matrix:
-        n = self.n
-        zero = one * 0
-        rows = []
-        for i in range(2 * n):
-            row = [zero] * (2 * n)
-            if i < n:
-                row[n + i] = one
-            else:
-                row[i - n] = -one
-            rows.append(row)
-        return Matrix(rows)
 
 
 def symplectic_pairing(u, v):
@@ -82,22 +68,16 @@ def symplectic_pairing(u, v):
     return acc
 
 
-def is_symplectic(g: Matrix, form: SymplecticForm | None = None) -> bool:
-    """Exact test of t(g) J g = J."""
+def is_symplectic(g: Matrix) -> bool:
+    """Exact test of t(g) J g = J, by the packed test of `FracMatrix.symplectic_inverse`."""
     if not g.is_square or g.rows % 2:
         raise ValueError("symplectic matrices have even size")
-    n = g.rows // 2
-    if form is not None and form.n != n:
-        raise ValueError("form dimension does not match the matrix")
-    j = SymplecticForm(n).gram(g.one())
-    return g.transpose() @ j @ g == j
+    return FracMatrix.from_matrix(g).symplectic_inverse() is not None
 
 
 def symplectic_inverse(g: Matrix) -> Matrix:
-    """g^{-1} = J^{-1} t(g) J for symplectic g (cheaper than elimination)."""
-    n = g.rows // 2
-    j = SymplecticForm(n).gram(g.one())
-    return (-j) @ g.transpose() @ j
+    """g^{-1} = J^{-1} t(g) J for symplectic g, a signed rearrangement of its entries."""
+    return Matrix(symplectic_rearrangement(g.entries))
 
 
 class Lagrangian:

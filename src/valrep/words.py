@@ -32,15 +32,6 @@ class Word:
         object.__setattr__(word, "letters", letters)
         return word
 
-    @classmethod
-    def identity(cls) -> "Word":
-        return cls()
-
-    @classmethod
-    def generator(cls, name: str, exponent: int = 1) -> "Word":
-        sign = 1 if exponent > 0 else -1
-        return cls([(name, sign)] * abs(exponent))
-
     def __len__(self) -> int:
         return len(self.letters)
 

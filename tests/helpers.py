@@ -398,10 +398,13 @@ def qx_from_matrix(m):
 
 
 def two_pass_deflate(p, a):
-    """Poly.deflate_at by an evaluate pass, then a synthetic-division pass, per factor."""
+    """Poly.deflate_at by an evaluate pass, then a synthetic-division pass, per factor.
+
+    Returns (k, g(a)) for p = (X - a)^k g, evaluating the deflated g again.
+    """
     if a == 0:
         k = next(i for i, c in enumerate(p.coeffs) if c != 0)
-        return k, Poly(p.coeffs[k:])
+        return k, Poly(p.coeffs[k:]).evaluate(a)
     k = 0
     while p.evaluate(a) == 0:
         out, acc = [], p.coeffs[-1] * 0
@@ -411,4 +414,107 @@ def two_pass_deflate(p, a):
         out.pop()  # the remainder, already known to vanish
         p = Poly(reversed(out))
         k += 1
-    return k, p
+    return k, p.evaluate(a)
+
+
+def standard_gram(n, one=Fraction(1)):
+    """J = [[0, I], [-I, 0]], the Gram matrix of the standard form on K^(2n)."""
+    from valrep.linalg import Matrix
+
+    zero = one * 0
+    size = 2 * n
+    return Matrix(
+        [one if j == i + n else -one if i == j + n else zero for j in range(size)]
+        for i in range(size)
+    )
+
+
+def gram_is_symplectic(g):
+    """is_symplectic by definition: t(g) J g == J, with products over the entry field."""
+    if not g.is_square or g.rows % 2:
+        raise ValueError("symplectic matrices have even size")
+    j = standard_gram(g.rows // 2, g.one())
+    return g.transpose() @ j @ g == j
+
+
+def gram_symplectic_inverse(g):
+    """symplectic_inverse by definition: (-J) t(g) J, by two matrix products."""
+    j = standard_gram(g.rows // 2, g.one())
+    return (-j) @ g.transpose() @ j
+
+
+def qx_linear_eigenvalues(p):
+    """Q(X) roots of p in Q(X)[T]: clear its denominators by their lcm, factor over Q.
+
+    Returns (roots, nonsplit_degree) with roots sorted by (str, multiplicity).
+    """
+    import sympy
+
+    from valrep.poly import gcd
+
+    t_sym, x_sym = sympy.symbols("T X")
+    coeffs = [RatFunc.coerce(c) for c in p.coeffs]
+    den = Poly((Fraction(1),))
+    for c in coeffs:
+        den = den * c.den.exact_div(gcd(den, c.den))
+    expr = sympy.Integer(0)
+    for i, c in enumerate(coeffs):
+        for j, q in enumerate((c.num * den.exact_div(c.den)).coeffs):
+            if q:
+                expr += sympy.Rational(q.numerator, q.denominator) * x_sym**j * t_sym**i
+    _, factors = sympy.factor_list(sympy.Poly(expr, t_sym, x_sym))
+    roots, nonsplit = [], 0
+    for factor, mult in factors:
+        fpoly = sympy.Poly(factor, t_sym)
+        if fpoly.degree() > 1:
+            nonsplit += fpoly.degree() * mult
+        elif fpoly.degree() == 1:
+            a1, a0 = (sympy.Poly(sympy.expand(c), x_sym) for c in fpoly.all_coeffs())
+
+            def ratfunc(q):
+                return RatFunc(Poly(Fraction(c.p, c.q) for c in reversed(q.all_coeffs())))
+
+            roots.append((-ratfunc(a0) / ratfunc(a1), mult))
+    roots.sort(key=lambda rm: (str(rm[0]), rm[1]))
+    return roots, nonsplit
+
+
+def qx_attracting_lagrangian(g, val):
+    """attracting_lagrangian from the Berkowitz char poly of g over Q(X).
+
+    The polygon and the Q(X) roots are read from the same Q(X)[T]
+    polynomial; errors are raised with the messages of the packed route.
+    """
+    from valrep.framing import SlopeTieError
+    from valrep.linalg import Matrix
+    from valrep.roots import NonSplitError
+    from valrep.symplectic import Lagrangian
+    from valrep.valuation import newton_polygon
+
+    if g.rows % 2:
+        raise ValueError("attracting Lagrangians need a 2n x 2n matrix")
+    n = g.rows // 2
+    p = g.char_poly()
+    roots, _ = qx_linear_eigenvalues(p)
+    all_vals = newton_polygon(p, val).expanded()
+    if len(all_vals) != 2 * n:
+        raise ValueError("matrix is singular")
+    gap_low, gap_high = all_vals[n - 1], all_vals[n]
+    if gap_low == gap_high:
+        raise SlopeTieError(
+            f"no strict valuation gap: values {gap_low} and {gap_high} tie at position n"
+        )
+    dominant = [(root, mult) for root, mult in roots if val.of(root) <= gap_low]
+    covered = sum(m for _, m in dominant)
+    if covered != n:
+        raise NonSplitError(f"dominant block covers {covered} of {n} eigenvalues in Q(X)")
+    columns = []
+    eye = Matrix.identity(g.rows, g.one())
+    for root, mult in dominant:
+        kernel = (g - eye.scale(root)).kernel_basis()
+        if len(kernel) != mult:
+            raise NonSplitError(
+                f"eigenvalue {root} has geometric multiplicity {len(kernel)} < {mult}"
+            )
+        columns.extend(kernel)
+    return Lagrangian.span(Matrix(columns).transpose())

@@ -369,3 +369,43 @@ def test_unread_flags_are_rejected(command):
     with pytest.raises(SystemExit) as exit_:
         cli.build_parser().parse_args([command, *UNREAD_FLAGS[command]])
     assert exit_.value.code == 2
+
+
+SYMPLECTIC_CHECKS = {
+    "symplectic": (
+        [["1", "X", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "-X", "1"]],
+        {"symplectic": True},
+    ),
+    "not symplectic": (
+        [["1", "X", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "X", "1"]],
+        {"symplectic": False},
+    ),
+    "scaled": ([["2", "0"], ["0", "1"]], {"symplectic": False}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMPLECTIC_CHECKS))
+def test_symplectic_check_on_matrices(name, capsys):
+    from valrep import cli
+
+    matrix, expected = SYMPLECTIC_CHECKS[name]
+    assert cli.main(["symplectic-check", "--json", json.dumps({"matrix": matrix})]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "symplectic-check" and report["result"] == expected
+
+
+def test_symplectic_check_rejects_odd_size(capsys):
+    from valrep import cli
+
+    identity_3 = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    assert cli.main(["symplectic-check", "--json", json.dumps({"matrix": identity_3})]) == 2
+    assert capsys.readouterr().out == _error_report("symplectic matrices have even size")
+
+
+def test_symplectic_check_on_the_pants_rep(capsys):
+    from valrep import cli
+
+    payload = json.dumps({"representation": "pants", "order": "plusinf"})
+    assert cli.main(["symplectic-check", "--json", payload]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"] == {"symplectic": {"c1": True, "c2": True, "c3": True}}

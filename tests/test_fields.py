@@ -174,3 +174,14 @@ def test_evaluate_exact():
     assert f.evaluate(Fraction(1, 2)) == Fraction(-3, 10)
     with pytest.raises(ZeroDivisionError):
         f.evaluate(-2)
+
+
+def test_sign_at_a_point_evaluates_no_cofactor_again(monkeypatch):
+    # the Horner pass that ends the deflation has already evaluated the cofactor at a
+    calls = []
+    evaluate = Poly.evaluate
+    monkeypatch.setattr(Poly, "evaluate", lambda self, t: calls.append(t) or evaluate(self, t))
+    f = (X - 1) ** 2 * (X + 3) / ((X - 1) * (X - 2))
+    assert OrderSpec.at_plus(1).sign(f) == -1
+    assert OrderSpec.at_minus(1).sign(f) == 1
+    assert calls == []

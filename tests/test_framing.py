@@ -13,8 +13,9 @@ from valrep.framing import (
     repelling_lagrangian,
     verify_maximal_framing,
 )
-from valrep.linalg import Matrix
+from valrep.linalg import FracMatrix, Matrix
 from valrep.pants import pants_rep
+from valrep.poly import Poly
 from valrep.representation import GroupPresentation, RepTable
 from valrep.roots import NonSplitError, linear_eigenvalues
 from valrep.symplectic import Lagrangian, symplectic_inverse
@@ -40,22 +41,19 @@ def ratfunc_matrix(g):
 
 
 def test_linear_eigenvalues_of_split_poly():
-    g = diag(X, 2 * X, ONE / X, ONE / (2 * X))
-    roots, nonsplit = linear_eigenvalues(g.char_poly())
+    # the roots mu of char_poly(N) over Z[X] are the eigenvalues lambda = mu / D
+    image = FracMatrix.from_matrix(diag(X, 2 * X, ONE / X, ONE / (2 * X)))
+    roots, nonsplit = linear_eigenvalues(image.char_poly())
     assert nonsplit == 0
-    values = sorted((str(r) for r, m in roots))
     assert len(roots) == 4 and all(m == 1 for _, m in roots)
-    got = {str(r) for r, _ in roots}
-    assert got == {"X", "2*X", "(1)/(X)", "(1/2)/(X)"} or got == {
-        str(X), str(2 * X), str(ONE / X), str(ONE / (2 * X))
-    }
+    den = RatFunc(Poly(map(Fraction, image.den.coeffs)))
+    got = {str(mu / den) for mu, _ in roots}
+    assert got == {"X", "2*X", "(1)/(X)", "(1/2)/(X)"}
 
 
 def test_linear_eigenvalues_reports_nonsplit():
-    # T^2 - X has no roots in Q(X)
-    from valrep.poly import Poly
-
-    p = Poly([-X, R(0), R(1)])
+    # T^2 - X, over Z[X], has no roots in Q(X)
+    p = Poly([Poly((0, -1)), Poly(), Poly((1,))])
     roots, nonsplit = linear_eigenvalues(p)
     assert roots == [] and nonsplit == 2
 
@@ -180,3 +178,23 @@ def test_failing_triple_computes_its_maslov_index_once(monkeypatch):
     assert not report.ok and report.triples_checked == 1
     assert report.violation == "triple ('0', 'None', '1') has index -1 != 1"
     assert len(calls) == 1
+
+
+def test_defective_eigenvalue_error_names_the_first_by_str():
+    # two dominant 2 x 2 Jordan blocks, at 2/X and at 1/X: "(1)/(X)" sorts first
+    z = R(0)
+    a = Matrix(
+        [
+            [2 / X, R(1), z, z],
+            [z, 2 / X, z, z],
+            [z, z, ONE / X, R(1)],
+            [z, z, z, ONE / X],
+        ]
+    )
+    inv_t = a.inverse().transpose()
+    g = Matrix(
+        [list(row) + [z] * 4 for row in a.entries] + [[z] * 4 + list(row) for row in inv_t.entries]
+    )
+    message = r"^eigenvalue \(1\)/\(X\) has geometric multiplicity 1 < 2$"
+    with pytest.raises(NonSplitError, match=message):
+        attracting_lagrangian(g, ADIC0)

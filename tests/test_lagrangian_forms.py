@@ -193,9 +193,12 @@ def common_vector_triples(draw, n):
     return out
 
 
+TRIPLE_KINDS = ("general", "l1 meets l3", "no pair transverse")
+
+
 @st.composite
-def maslov_triples(draw, n):
-    kind = draw(st.sampled_from(("general", "l1 meets l3", "no pair transverse")))
+def maslov_triples(draw, n, kind=None):
+    kind = kind or draw(st.sampled_from(TRIPLE_KINDS))
     if kind == "general":
         return draw(st.lists(lagrangians(n), min_size=3, max_size=3))
     if kind == "l1 meets l3":
@@ -228,6 +231,48 @@ def test_maslov_matches_gram_signature(n, data):
 def test_maslov_matches_gram_signature_over_qx(order, triple):
     event(maslov_path(*triple))
     assert maslov_with_radical(*triple, order) == gram_maslov(*triple, order)
+
+
+def check_cocycle_and_antisymmetry(l1, l2, l3, l4, order=None):
+    """Kashiwara's cocycle identity on l1..l4; tau changes by sign(s) under a permutation s.
+
+    The identity tau(2,3,4) - tau(1,3,4) + tau(1,2,4) - tau(1,2,3) = 0
+    holds for every quadruple of Lagrangians, transverse or not.
+    """
+
+    def tau(*triple):
+        return maslov(*triple, order)
+
+    assert tau(l2, l3, l4) - tau(l1, l3, l4) + tau(l1, l2, l4) - tau(l1, l2, l3) == 0
+    index = tau(l1, l2, l3)
+    for perm in permutations(range(3)):
+        inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+        triple = [(l1, l2, l3)[i] for i in perm]
+        assert tau(*triple) == (-1) ** inversions * index, perm
+
+
+@pytest.mark.parametrize("kind", TRIPLE_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_maslov_cocycle_and_antisymmetry_over_q(n, kind, data):
+    l1, l2, l3 = data.draw(maslov_triples(n, kind))
+    path = maslov_path(l1, l2, l3)
+    event(path)
+    if kind == "l1 meets l3":
+        assert path != "l1 transverse l3"
+    if kind == "no pair transverse":
+        assert path == "Gram fallback"
+    l4 = data.draw(st.one_of(lagrangians(n), st.sampled_from((l1, l2, l3))))
+    check_cocycle_and_antisymmetry(l1, l2, l3, l4)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+@settings(max_examples=25)
+@given(images=framings(2).map(lambda f: [f.image(l) for l in "abcd"]))
+def test_maslov_cocycle_and_antisymmetry_over_qx(order, images):
+    event(maslov_path(*images[:3]))
+    check_cocycle_and_antisymmetry(*images, order)
 
 
 def test_maslov_rotation_keeps_a_nonzero_index():

@@ -93,7 +93,7 @@ def test_pseudodistance_spread_norm():
 
 def random_symplectic_ratfunc(rng, n=2):
     """Symplectic over Q(X) with entries of degree <= 3."""
-    from valrep.symplectic import SymplecticForm, is_symplectic
+    from valrep.symplectic import is_symplectic
 
     def sym_block():
         entries = [[None] * n for _ in range(n)]
@@ -113,7 +113,7 @@ def random_symplectic_ratfunc(rng, n=2):
     lower = Matrix([list(eye.entries[i]) + list(zero.entries[i]) for i in range(n)]
                    + [list(t.entries[i]) + list(eye.entries[i]) for i in range(n)])
     g = upper @ lower
-    assert is_symplectic(g, SymplecticForm(n))
+    assert is_symplectic(g)
     assert g.max_degree() <= 3
     return g
 
