@@ -14,7 +14,8 @@ errors carry the offending position; dividing by a zero polynomial is
 reported as such.  An optional degree bound B rejects, before it is
 built, a power whose degree would exceed B, or whose |exponent| times
 the base's coefficient height (the largest ceil(log2 |c|) over the
-numerators and denominators of its coefficients) would exceed
+numerators and denominators of its coefficients in `monic_form`, the
+displayed form with a monic denominator) would exceed
 64 (B + 1) bits: X^99999999, 6^52172538 and ((6^512)^512)^512 fail at
 once, while 0, 1 and -1 take any power.  Parentheses nest at most
 MAX_DEPTH deep, and a run of unary minus signs is read in a loop, so
@@ -23,10 +24,7 @@ no input exhausts the interpreter's stack.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .fields import RatFunc, X
-from .poly import Poly
+from .fields import RatFunc, X, monic_form
 
 
 MAX_DEPTH = 100  # deepest parenthesis nesting accepted
@@ -162,11 +160,12 @@ def _power(tok: _Tokenizer) -> RatFunc:
 
 
 def _height(f: RatFunc) -> int:
-    """Largest ceil(log2 |c|) over the numerators and denominators of f's coefficients."""
+    """Largest ceil(log2 |c|) over the numerators and denominators of monic_form(f)."""
+    num, den = monic_form(f)
     return max(
         (
             (abs(part) - 1).bit_length()
-            for c in f.num.coeffs + f.den.coeffs
+            for c in num.coeffs + den.coeffs
             for part in (c.numerator, c.denominator)
             if part
         ),
@@ -184,7 +183,7 @@ def _integer(digits: str, pos: int) -> int:
 def _atom(tok: _Tokenizer) -> RatFunc:
     kind, value, pos = tok.take()
     if kind == "int":
-        return RatFunc(Poly((Fraction(_integer(value, pos)),)))
+        return RatFunc.coerce(_integer(value, pos))
     if kind == "X":
         return X
     if kind == "(":

@@ -1,12 +1,18 @@
 """The ordered field Q(X): exact rational functions and their non-Archimedean orders.
 
-A `RatFunc` is a reduced fraction num/den of polynomials over Q with a
-monic denominator; this canonical form is unique, so equality and hashing
-are structural.  The four non-Archimedean orders on Q(X) are anchored at a
-rational point a (from below or above) or at one of the two infinities.
-Signs under an order are decided by exact deflation: factor out the
-largest power of (X - a) and evaluate the cofactor at a; no numeric
-evaluation is ever involved.
+A `RatFunc` is a fraction num/den of integer polynomials, coprime in
+Z[X] (constant common factors included) and with a positive leading
+coefficient of den.  This form is unique, so equality and hashing are
+structural, and every operation on it is Z[X] arithmetic with the one
+`poly.gcd`.  The constructor also takes rational coefficients and clears
+them once; Q[X] appears again only in `monic_form`, the display form
+with a monic denominator that `format_ratfunc` prints.
+
+The four non-Archimedean orders on Q(X) are anchored at a rational point
+a (from below or above) or at one of the two infinities.  Signs under an
+order are decided by exact deflation: factor out the largest power of
+(X - a) and evaluate the cofactor at a; no numeric evaluation is ever
+involved.
 
 Under any of these orders Q(X) is non-Archimedean: at the order a_+ the
 element 1/(X - a) is larger than every rational constant.
@@ -16,18 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
-from .poly import Poly, gcd
+from .poly import Poly, exact_quotient, gcd
 
 Rationalish = Union[int, Fraction]
 
 _ZERO = Poly()
-_ONE = Poly((Fraction(1),))
+_ONE = Poly((1,))
 
 
 class RatFunc:
-    """Element of Q(X) in canonical form: gcd(num, den) = 1, den monic."""
+    """Element of Q(X) as num/den in Z[X]: coprime, with lc(den) > 0."""
 
     __slots__ = ("num", "den")
 
@@ -40,14 +47,16 @@ class RatFunc:
             object.__setattr__(self, "num", _ZERO)
             object.__setattr__(self, "den", _ONE)
             return
+        coeffs = num.coeffs + den.coeffs
+        if any(type(c) is not int for c in coeffs):  # rational coefficients: clear them once
+            scale = lcm(*(c.denominator for c in coeffs))
+            num = Poly((c * scale).numerator for c in num.coeffs)
+            den = Poly((c * scale).numerator for c in den.coeffs)
         g = gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lead = den.leading()
-        if lead != 1:
-            num = Poly(c / lead for c in num.coeffs)
-            den = den.monic()
+        if g != _ONE:
+            num, den = exact_quotient(num, g), exact_quotient(den, g)
+        if den.coeffs[-1] < 0:
+            num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -60,8 +69,10 @@ class RatFunc:
     def coerce(value) -> "RatFunc":
         if isinstance(value, RatFunc):
             return value
-        if isinstance(value, (int, Fraction)):
-            return RatFunc(Poly((Fraction(value),)))
+        if isinstance(value, int):
+            return _raw(Poly((int(value),)), _ONE)
+        if isinstance(value, Fraction):
+            return _raw(Poly((value.numerator,)), Poly((value.denominator,)))
         if isinstance(value, Poly):
             return RatFunc(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to Q(X)")
@@ -75,7 +86,7 @@ class RatFunc:
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant rational function")
-        return Fraction(0) if self.num.is_zero() else self.num.coeffs[0]
+        return Fraction(self.num.coefficient(0), self.den.coeffs[0])
 
     def __bool__(self) -> bool:
         return not self.num.is_zero()
@@ -83,8 +94,10 @@ class RatFunc:
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return self.den == _ONE and self.num == Fraction(other)
+        if isinstance(other, int):
+            return self.den.coeffs == (1,) and self.num == other
+        if isinstance(other, Fraction):
+            return self.den.coeffs == (other.denominator,) and self.num == other.numerator
         return NotImplemented
 
     def __hash__(self):
@@ -107,22 +120,21 @@ class RatFunc:
         if other.num.is_zero():
             return self
         d1, d2 = self.den, other.den
-        if d1.degree == 0 and d2.degree == 0:
+        if d1.coeffs == d2.coeffs == (1,):
             t = self.num + other.num
             return ZERO if t.is_zero() else _raw(t, _ONE)
         # classical coprime-part bookkeeping keeps outputs reduced without
-        # a full gcd of the cross products
+        # a full gcd of the cross products (Z[X] is a UFD)
         g = gcd(d1, d2)
-        if g.degree == 0:
+        if g == _ONE:
             return _raw(self.num * d2 + other.num * d1, d1 * d2)
-        d1r, d2r = d1.exact_div(g), d2.exact_div(g)
+        d1r, d2r = exact_quotient(d1, g), exact_quotient(d2, g)
         t = self.num * d2r + other.num * d1r
         if t.is_zero():
             return ZERO
         h = gcd(t, g)
-        if h.degree > 0:
-            t = t.exact_div(h)
-            g = g.exact_div(h)
+        if h != _ONE:
+            t, g = exact_quotient(t, h), exact_quotient(g, h)
         return _raw(t, d1r * d2r * g)
 
     __radd__ = __add__
@@ -151,10 +163,10 @@ class RatFunc:
         other = RatFunc.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero in Q(X)")
-        lead = other.num.leading()
-        inv_num = other.den if lead == 1 else Poly(c / lead for c in other.den.coeffs)
-        inv_den = other.num if lead == 1 else other.num.monic()
-        return self * _raw(inv_num, inv_den)
+        num, den = other.den, other.num
+        if den.coeffs[-1] < 0:
+            num, den = -num, -den
+        return self * _raw(num, den)
 
     def __rtruediv__(self, other) -> "RatFunc":
         return RatFunc.coerce(other) / self
@@ -207,30 +219,37 @@ def _raw(num: Poly, den: Poly) -> "RatFunc":
 
 
 def _cross_reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    if num.degree == 0 or den.degree == 0:
+    if den.coeffs == (1,):
         return num, den
     g = gcd(num, den)
-    if g.degree == 0:
+    if g == _ONE:
         return num, den
-    return num.exact_div(g), den.exact_div(g)
+    return exact_quotient(num, g), exact_quotient(den, g)
 
 
 def _as_poly(value) -> Poly:
     if isinstance(value, Poly):
         return value
     if isinstance(value, (int, Fraction)):
-        return Poly((Fraction(value),))
-    if isinstance(value, (list, tuple)):
-        return Poly(Fraction(c) for c in value)
+        return Poly((value,))
     raise TypeError(f"cannot build a polynomial from {type(value).__name__}")
 
 
-X = RatFunc(Poly((Fraction(0), Fraction(1))))
-ZERO = RatFunc(Poly())
-ONE = RatFunc(Poly((Fraction(1),)))
+X = _raw(Poly((0, 1)), _ONE)
+ZERO = _raw(_ZERO, _ONE)
+ONE = _raw(_ONE, _ONE)
 
 
 # -- canonical display --------------------------------------------------
+
+
+def monic_form(f: RatFunc) -> tuple[Poly, Poly]:
+    """(num, den) of f over Q with den monic: the form reports print and the parser measures."""
+    lead = f.den.coeffs[-1]
+    if lead == 1:
+        return f.num, f.den
+    num, den = (Poly(Fraction(c, lead) for c in p.coeffs) for p in (f.num, f.den))
+    return num, den
 
 
 def format_poly(p: Poly) -> str:
@@ -253,15 +272,16 @@ def format_poly(p: Poly) -> str:
     return "".join(parts)
 
 
-def _format_coeff(c: Fraction) -> str:
+def _format_coeff(c: Rationalish) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def format_ratfunc(f: RatFunc) -> str:
-    """Canonical display "p(X)/q(X)" with explicit parentheses."""
-    if f.den == _ONE:
-        return format_poly(f.num)
-    return f"({format_poly(f.num)})/({format_poly(f.den)})"
+    """Canonical display "p(X)/q(X)" of the monic form, with explicit parentheses."""
+    num, den = monic_form(f)
+    if den == _ONE:
+        return format_poly(num)
+    return f"({format_poly(num)})/({format_poly(den)})"
 
 
 # -- orders ----------------------------------------------------------------

@@ -7,8 +7,9 @@ positively oriented triple of labels maps to a Maslov-maximal triple;
 equivariance is checked on the listed symmetries only.
 
 Attracting Lagrangians of hyperbolic elements are computed exactly: g is
-cleared to N/D over Z[X] (`FracMatrix`), char_poly(N) is factored over
-Z[X] and its linear roots divided by D, the n valuation-dominant
+cleared to N/D over Z[X] (`FracMatrix`), char_poly(N) is computed once,
+its Newton polygon gives the valuations and its linear roots over Z[X],
+divided by D, the eigenvalues in Q(X); the n valuation-dominant
 eigenvalues are collected (requiring a strict slope gap to the rest), and
 the span of their eigenspaces is verified to be Lagrangian.  Non-split
 dominant spectrum is reported, never approximated.
@@ -17,15 +18,13 @@ dominant spectrum is reported, never approximated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Hashable, Iterator, Sequence
 
 from .fields import RatFunc
 from .linalg import FracMatrix, Matrix
-from .poly import Poly
 from .representation import RepTable
 from .roots import NonSplitError, linear_eigenvalues
-from .spectra import char_poly_polygon
+from .spectra import quotient_polygon
 from .symplectic import Lagrangian, maslov, symplectic_inverse
 from .valuation import Valuation
 from .words import Word
@@ -119,9 +118,9 @@ def verify_maximal_framing(rep: RepTable, framing: FramingTable) -> FramingRepor
 def attracting_lagrangian(g: Matrix, val: Valuation) -> Lagrangian:
     """Span of the eigenspaces of the n valuation-dominant eigenvalues.
 
-    g is cleared once to N/D over Z[X]; the Newton polygon comes from
-    char_poly(N) and nu(D), and the eigenvalues in Q(X) are the linear
-    roots of char_poly(N), divided by D.  Preconditions checked: the
+    g is cleared once to N/D over Z[X] and char_poly(N) is computed once:
+    the Newton polygon comes from it and nu(D), and the eigenvalues in
+    Q(X) are its linear roots, divided by D.  Preconditions checked: the
     dominant block splits over Q(X), there is a strict valuation gap below
     the remaining spectrum, and the block is diagonalizable (eigenspace
     dimensions match multiplicities).  The resulting span is validated as
@@ -131,7 +130,8 @@ def attracting_lagrangian(g: Matrix, val: Valuation) -> Lagrangian:
         raise ValueError("attracting Lagrangians need a 2n x 2n matrix")
     n = g.rows // 2
     image = FracMatrix.from_matrix(g)
-    all_vals = char_poly_polygon(image, val).expanded()
+    char_poly = image.char_poly()
+    all_vals = quotient_polygon(char_poly, image.den, val).expanded()
     if len(all_vals) != 2 * n:
         raise ValueError("matrix is singular")
     gap_low, gap_high = all_vals[n - 1], all_vals[n]
@@ -139,8 +139,8 @@ def attracting_lagrangian(g: Matrix, val: Valuation) -> Lagrangian:
         raise SlopeTieError(
             f"no strict valuation gap: values {gap_low} and {gap_high} tie at position n"
         )
-    roots, _ = linear_eigenvalues(image.char_poly())
-    den = RatFunc(Poly(map(Fraction, image.den.coeffs)))
+    roots, _ = linear_eigenvalues(char_poly)
+    den = RatFunc(image.den)
     eigenvalues = sorted(((mu / den, m) for mu, m in roots), key=lambda rm: (str(rm[0]), rm[1]))
     dominant = [(root, mult) for root, mult in eigenvalues if val.of(root) <= gap_low]
     covered = sum(m for _, m in dominant)

@@ -9,8 +9,8 @@ for every entry ring here.
 
 A `FracMatrix` holds a matrix over Q(X) as N/D: N with integer-polynomial
 entries, D one integer polynomial.  A Q(X) matrix is cleared in Z[X]:
-D is the lcm of the primitive parts of its distinct entry denominators,
-with one cofactor per distinct denominator and no division over Q.
+D is the Z[X] lcm of its distinct entry denominators (each entry is
+already a Z[X] pair), with one cofactor per distinct denominator.
 Multiplying two of them multiplies the N and the D and needs no gcd,
 which is what word sweeps do most.  Each entry of N is Kronecker-packed
 (Harvey 2009) into one Python int, its value at X = 2^b, so a product
@@ -34,12 +34,12 @@ entries), confirmed by one packed product equal to D^2 I.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, perm
+from math import perm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .fields import RatFunc
-from .poly import Poly, exact_quotient, gcd, primitive_gcd, split_content
+from .poly import Poly, exact_quotient, gcd, pack, unpack
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -360,57 +360,34 @@ class FracMatrix:
         bound = max((abs(c) for p in polys for c in p.coeffs), default=0)
         length = max(1, max(len(p.coeffs) for p in polys))
         width = _width(len(rows) * bound, PACK_WIDTH)
-        packed = tuple(tuple(_pack(p, width) for p in row) for row in rows)
+        packed = tuple(tuple(pack(p, width) for p in row) for row in rows)
         return cls(packed, den, width, bound, length)
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "FracMatrix":
         """Clear every entry denominator of m (entries in Q(X) or Q), in Z[X].
 
-        Each distinct denominator is split once into a rational content c
-        and a primitive Z[X] polynomial P.  D is the lcm of the P's, built
-        with the integer subresultant gcd and exact Z[X] quotients (by
-        Gauss's lemma a primitive divisor leaves a Z[X] quotient), and
-        each P gets one cofactor D / P.  An entry a / (c P) is then
-        (a / c)(D / P) over D, and one integer scale of N and D clears
-        the rational content left in the a / c.  D's leading coefficient
-        is positive.
+        Every entry is a coprime Z[X] pair num/den.  D is the Z[X] lcm of
+        the distinct dens, grown by one gcd and one exact quotient per
+        den, and each den gets one cofactor D / den, so an entry num/den
+        is num (D / den) over D.  D's leading coefficient is positive, as
+        every den's is.
         """
         entries = [[RatFunc.coerce(e) for e in row] for row in m.entries]
-        parts = {}  # non-unit denominator coefficients -> (content, primitive part)
-        for row in entries:
-            for f in row:
-                if f.den.degree > 0 and f.den.coeffs not in parts:
-                    parts[f.den.coeffs] = split_content(f.den)
+        dens = dict.fromkeys(f.den for row in entries for f in row if f.den != _ONE_Z)
         den = _ONE_Z
-        for _, p in parts.values():
-            g = primitive_gcd(den, p) if den.degree > 0 else _ONE_Z
-            if g != p:
-                den = den * (p if g.degree == 0 else exact_quotient(p, g))
-        cofactors = {
-            key: (c, _ONE_Z if p == den else exact_quotient(den, p))
-            for key, (c, p) in parts.items()
-        }
-
-        def divide_content(f):
-            """(coefficients of num / content, cofactor) of one entry."""
-            if f.den.degree == 0:  # the unit denominator: content 1, cofactor D
-                return f.num.coeffs, den
-            content, cofactor = cofactors[f.den.coeffs]
-            return [c / content for c in f.num.coeffs], cofactor
-
-        scaled = [[divide_content(f) for f in row] for row in entries]
-        scale = lcm(1, *(c.denominator for row in scaled for cs, _ in row for c in cs))
-        nums = [
-            [Poly(c.numerator * (scale // c.denominator) for c in cs) * cof for cs, cof in row]
-            for row in scaled
-        ]
-        return cls.from_polys(nums, den * scale)
+        for d in dens:
+            g = gcd(den, d)
+            if g != d:
+                den = den * (d if g == _ONE_Z else exact_quotient(d, g))
+        cofactors = {d: _ONE_Z if d == den else exact_quotient(den, d) for d in dens}
+        cofactors[_ONE_Z] = den
+        return cls.from_polys([[f.num * cofactors[f.den] for f in row] for row in entries], den)
 
     @classmethod
     def identity(cls, n: int) -> "FracMatrix":
         packed = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return cls(packed, Poly((1,)), _width(n, PACK_WIDTH), 1, 1)
+        return cls(packed, _ONE_Z, _width(n, PACK_WIDTH), 1, 1)
 
     @property
     def rows(self) -> int:
@@ -419,7 +396,7 @@ class FracMatrix:
     @property
     def num(self) -> Matrix:
         """N as a Matrix of integer Polys, unpacked."""
-        return Matrix([_unpack(v, self.width) for v in row] for row in self.packed)
+        return Matrix([unpack(v, self.width) for v in row] for row in self.packed)
 
     def __matmul__(self, other: "FracMatrix") -> "FracMatrix":
         inner = len(other.packed)
@@ -453,7 +430,7 @@ class FracMatrix:
         product = check.packed
         if any(v for i, row in enumerate(product) for j, v in enumerate(row) if i != j):
             return None
-        if any(_unpack(row[i], check.width) != check.den for i, row in enumerate(product)):
+        if any(unpack(row[i], check.width) != check.den for i, row in enumerate(product)):
             return None
         return inverse
 
@@ -470,25 +447,24 @@ class FracMatrix:
         width = _width(bound, self.width)
         coeffs = Matrix(self._at_width(width).packed).char_poly().coeffs
         # int(): on an all-zero matrix the leading 1 is Matrix.one()'s Fraction(1)
-        return Poly(_unpack(int(c), width) for c in coeffs)
+        return Poly(unpack(int(c), width) for c in coeffs)
 
     def _at_width(self, width: int) -> "FracMatrix":
         """The same matrix repacked at a larger width."""
         if width == self.width:
             return self
         packed = tuple(
-            tuple(_pack(_unpack(v, self.width), width) for v in row) for row in self.packed
+            tuple(pack(unpack(v, self.width), width) for v in row) for row in self.packed
         )
         return FracMatrix(packed, self.den, width, self.bound, self.length)
 
     def to_matrix(self) -> Matrix:
         """The canonical matrix over Q(X)."""
-        den = _rational(self.den)
-        return Matrix([RatFunc(_rational(p), den) for p in row] for row in self.num.entries)
+        return Matrix([RatFunc(p, self.den) for p in row] for row in self.num.entries)
 
     def trace(self) -> RatFunc:
         diagonal = sum(row[i] for i, row in enumerate(self.packed))
-        return RatFunc(_rational(_unpack(diagonal, self.width)), _rational(self.den))
+        return RatFunc(unpack(diagonal, self.width), self.den)
 
     def degree_over(self, bound: int) -> int | None:
         """Largest degree of a reduced entry N_ij/D if it exceeds bound, else None.
@@ -513,7 +489,7 @@ class FracMatrix:
                 if not v:
                     deg = 0
                 else:
-                    g = gcd(_unpack(v, width), self.den).degree
+                    g = gcd(unpack(v, width), self.den).degree
                     deg = max(dn - g, dd - g, 0)
                 if deg > bound and (worst is None or deg > worst):
                     worst = deg
@@ -531,30 +507,6 @@ def _width(bound: int, width: int) -> int:
     return width
 
 
-def _pack(p: Poly, width: int) -> int:
-    """p(2^width), for integer coefficients below 2^(width-1) in absolute value."""
-    v = 0
-    for c in reversed(p.coeffs):
-        v = (v << width) + c
-    return v
-
-
-def _unpack(v: int, width: int) -> Poly:
-    """The integer Poly whose balanced base-2^width digits make up v."""
-    mask, half, out = (1 << width) - 1, 1 << (width - 1), []
-    for _ in range(_packed_degree(v, width) + 1):
-        digit = v & mask
-        if digit >= half:
-            digit -= 1 << width
-        out.append(digit)
-        v = (v - digit) >> width
-    return Poly(out)
-
-
 def _packed_degree(v: int, width: int) -> int:
     """deg p for v = p(2^width) with balanced digits; -1 for v = 0."""
     return abs(v).bit_length() // width if v else -1
-
-
-def _rational(p: Poly) -> Poly:
-    return Poly(Fraction(c) for c in p.coeffs)

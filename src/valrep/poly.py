@@ -1,23 +1,25 @@
-"""Dense univariate polynomials over an exact ring.
+"""Dense univariate polynomials over an exact ring, and the Z[X] routines.
 
 A polynomial is stored as a tuple of coefficients, lowest degree first,
 with a nonzero last entry; the empty tuple is the zero polynomial.  The
 coefficient ring is duck-typed: anything supporting +, -, * and
-comparison with 0 works, which in this package means `fractions.Fraction`
-(polynomials in X over Q), `int` (the Z[X] numerators and denominators of
-fraction-free Q(X) matrices) and `Poly` itself (characteristic
-polynomials in T over Z[X]).
+comparison with 0 works, which in this package means `int` (Z[X]: the
+numerators and denominators of Q(X) elements and of fraction-free
+matrices) and `Poly` itself (characteristic polynomials in T over Z[X]).
 
-Ring operations (+, -, *) work over any of these.  Division and
-multiplicity counting need a field (an int divisor acts as a Fraction,
-so Z[X] divides in Q[X]); gcd takes Q[X] and Z[X] polynomials only, and
-the integer routines at the end stay in Z[X].  Nothing here ever rounds.
+Ring operations (+, -, *) work over any of these.  The routines at the
+end stay in Z[X]: `gcd` (content gcd times a heuristic gcd of primitive
+parts), `exact_quotient`, and Kronecker packing (Harvey 2009), the map
+p -> p(2^b) onto Python ints that fraction-free matrices and `gcd` run
+on.  `divmod` is Euclidean division over Q, and `deflate_at` evaluates
+at a rational point; nothing here ever rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd as igcd
+from typing import Iterable
 
 
 class Poly:
@@ -33,10 +35,6 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
 
     # -- structure ----------------------------------------------------
 
@@ -56,7 +54,7 @@ class Poly:
     def coefficient(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0) if not self.coeffs else self.coeffs[0] * 0
+        return self.coeffs[0] * 0 if self.coeffs else 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -100,9 +98,6 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        # `type` rather than isinstance: Fraction is an ABC, slow to test ints against
-        if type(a[0]) is Fraction and type(b[0]) is Fraction:
-            return _mul_rational(a, b)
         out = [a[0] * 0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca == 0:
@@ -120,7 +115,7 @@ class Poly:
         if k == 0:
             if not self.coeffs:
                 raise ValueError("0**0 for polynomials")
-            return Poly.constant(self.leading() ** 0)
+            return Poly((self.leading() ** 0,))
         base, out = self, None
         while k:
             if k & 1:
@@ -136,13 +131,13 @@ class Poly:
         return Poly((other,))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact field divmod; raises ZeroDivisionError on zero divisor."""
+        """Euclidean division over Q; raises ZeroDivisionError on zero divisor."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Poly(), self
         rem = list(self.coeffs)
-        lead = _field(other.leading())
+        lead = Fraction(other.leading())
         dq = self.degree - other.degree
         quo = [self.coeffs[0] * 0] * (dq + 1)
         for i in range(dq, -1, -1):
@@ -154,24 +149,6 @@ class Poly:
             for j, oc in enumerate(other.coeffs):
                 rem[i + j] = rem[i + j] - q * oc
         return Poly(quo), Poly(rem[: other.degree])
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(self._coerce(other))[1]
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        if lead == 1:
-            return self
-        lead = _field(lead)
-        return Poly(c / lead for c in self.coeffs)
 
     def evaluate(self, t):
         """Horner evaluation at a field element."""
@@ -214,38 +191,41 @@ class Poly:
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q of polynomials with int or Fraction coefficients.
+    """The gcd in Z[X] of integer polynomials, with positive leading coefficient.
 
-    The computation runs on primitive integer coefficients with a
-    subresultant pseudo-remainder sequence, which avoids the Fraction
-    blow-up of naive Euclid.
+    It is the gcd of the contents times the gcd of the primitive parts
+    f and g, found by GCDHEU (Char, Geddes & Gonnet 1989) on their
+    Kronecker-packed values at X = 2^b: the primitive part of the balanced
+    digits of h = igcd(f(2^b), g(2^b)) is the gcd once it divides f and g
+    exactly; otherwise b doubles.  b starts at bitlen(max |coefficient|)
+    + 2, so that 2^b > 2 min(|f|, |g|) + 2 (|f| the largest |coefficient|
+    of f), as the theorem needs.  The
+    loop ends: h = c G(2^b) with G the gcd and c dividing Res(f/G, g/G),
+    so once 2^b outgrows c G the digits are c G's coefficients.
     """
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    g = _int_poly_gcd(_primitive_int(a), _primitive_int(b))
-    return Poly(Fraction(c, g[0]) for c in reversed(g))
-
-
-def split_content(p: Poly) -> tuple[Fraction, Poly]:
-    """(c, q) with p = c * q, q a primitive Z[X] polynomial with positive leading coefficient."""
-    q = _primitive_int(p)
-    if q[0] < 0:
-        q = [-c for c in q]
-    return Fraction(p.leading()) / q[0], Poly(reversed(q))
-
-
-def primitive_gcd(a: Poly, b: Poly) -> Poly:
-    """gcd in Z[X] of primitive integer polynomials, with positive leading coefficient."""
-    return Poly(reversed(_int_poly_gcd(list(reversed(a.coeffs)), list(reversed(b.coeffs)))))
+    if not a.coeffs or not b.coeffs:
+        p = a if a.coeffs else b
+        return -p if p.coeffs and p.coeffs[-1] < 0 else p
+    ca, cb = igcd(*a.coeffs), igcd(*b.coeffs)
+    content = igcd(ca, cb)
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        return Poly((content,))
+    f = Poly(c // ca for c in a.coeffs)
+    g = Poly(c // cb for c in b.coeffs)
+    width = max(map(abs, f.coeffs + g.coeffs)).bit_length() + 2
+    while True:
+        h = unpack(igcd(pack(f, width), pack(g, width)), width)
+        h_content = igcd(*h.coeffs) if h.coeffs[-1] > 0 else -igcd(*h.coeffs)
+        h = Poly(c // h_content for c in h.coeffs)
+        if h.degree == 0 or (_divides(h, f) and _divides(h, g)):
+            return h * content
+        width *= 2
 
 
 def exact_quotient(a: Poly, b: Poly) -> Poly:
-    """a / b in Z[X] for integer polynomials where b divides a over Z.
+    """a / b for integer polynomials where b divides a in Z[X].
 
-    By Gauss's lemma that is so whenever b is primitive and divides a over
-    Q.  Every step is an exact integer division; a remainder raises
+    Every step is an exact integer division; a remainder raises
     ValueError.
     """
     lead, db = b.coeffs[-1], len(b.coeffs) - 1
@@ -264,94 +244,36 @@ def exact_quotient(a: Poly, b: Poly) -> Poly:
     return Poly(quo)
 
 
-def _field(c):
-    """c, as a Fraction if it is an int, so that dividing by it stays exact."""
-    return Fraction(c) if type(c) is int else c
+def _divides(b: Poly, a: Poly) -> bool:
+    try:
+        exact_quotient(a, b)
+    except ValueError:
+        return False
+    return True
 
 
-def _mul_rational(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    """Convolution over a pair of common denominators, in integer arithmetic."""
-    from math import lcm
-
-    da = 1
-    for c in a:
-        da = lcm(da, c.denominator)
-    db = 1
-    for c in b:
-        db = lcm(db, c.denominator)
-    ia = [c.numerator * (da // c.denominator) for c in a]
-    ib = [c.numerator * (db // c.denominator) for c in b]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(ia):
-        if ca:
-            for j, cb in enumerate(ib):
-                out[i + j] += ca * cb
-    den = da * db
-    return Poly(Fraction(n, den) for n in out)
+# -- Kronecker packing -----------------------------------------------------
 
 
-def _primitive_int(p: Poly) -> list[int]:
-    """Primitive integer coefficients, highest degree first."""
-    from math import gcd as igcd, lcm
-
-    den = 1
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            den = lcm(den, c.denominator)
-    nums = [int(c * den) if isinstance(c, Fraction) else c * den for c in p.coeffs]
-    content = 0
-    for c in nums:
-        content = igcd(content, c)
-    return [c // content for c in reversed(nums)]
+def pack(p: Poly, width: int) -> int:
+    """p(2^width) for an integer Poly p."""
+    v = 0
+    for c in reversed(p.coeffs):
+        v = (v << width) + c
+    return v
 
 
-def _int_poly_gcd(f: list[int], g: list[int]) -> list[int]:
-    """Subresultant PRS gcd of primitive integer polynomials (highest first)."""
-    from math import gcd as igcd
+def unpack(v: int, width: int) -> Poly:
+    """The integer Poly whose coefficients are the balanced base-2^width digits of v.
 
-    if len(f) < len(g):
-        f, g = g, f
-    gpart, h = 1, 1
-    while True:
-        d = len(f) - len(g)
-        r = _prem(f, g)
-        if not r:
-            out = _primitive_part(g)
-            return out if out[0] > 0 else [-c for c in out]
-        if len(r) == 1:
-            return [1]
-        divisor = gpart * h**d
-        f, g = g, [c // divisor for c in r]
-        gpart = f[0]
-        if d > 0:
-            h = gpart**d // h ** (d - 1) if d > 1 else gpart
-
-
-def _prem(f: list[int], g: list[int]) -> list[int]:
-    """Pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g (highest first)."""
-    lg = g[0]
-    r = list(f)
-    e = len(f) - len(g) + 1
-    while r and len(r) >= len(g):
-        lf = r[0]
-        r = [lg * c for c in r]
-        for j, gc in enumerate(g):
-            r[j] -= lf * gc
-        k = 0
-        while k < len(r) and r[k] == 0:
-            k += 1
-        r = r[k:]
-        e -= 1
-    if e > 0:
-        m = lg**e
-        r = [c * m for c in r]
-    return r
-
-
-def _primitive_part(g: list[int]) -> list[int]:
-    from math import gcd as igcd
-
-    content = 0
-    for c in g:
-        content = igcd(content, c)
-    return [c // content for c in g]
+    Each digit lies in [-2^(width-1), 2^(width-1)), so `unpack` inverts
+    `pack` on every p whose |coefficients| are below 2^(width-1).
+    """
+    mask, half, out = (1 << width) - 1, 1 << (width - 1), []
+    while v:
+        digit = v & mask
+        if digit >= half:
+            digit -= 1 << width
+        out.append(digit)
+        v = (v - digit) >> width
+    return Poly(out)

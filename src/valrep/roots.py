@@ -3,14 +3,13 @@
 A matrix over Q(X) is cleared to N/D over Z[X] (`FracMatrix`), and its
 eigenvalues are those of N divided by D.  char_poly(N) lies in Z[X][T],
 that is in Z[X, T], so sympy's exact factorization over the integers
-exposes the factors that are linear in T, whose roots are the
-eigenvalues of N lying in Q(X).  Factors of higher T-degree are reported
-as a non-split remainder, never approximated.
+exposes the factors a1 T + a0 that are linear in T, with a0, a1 in Z[X];
+their roots -a0/a1 are the eigenvalues of N lying in Q(X), built as
+Z[X] pairs with no rational coefficient.  Factors of higher T-degree are
+reported as a non-split remainder, never approximated.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .fields import RatFunc
 from .poly import Poly
@@ -46,16 +45,15 @@ def linear_eigenvalues(p: Poly) -> tuple[list[tuple[RatFunc, int]], int]:
         if deg_t > 1:
             nonsplit += deg_t * mult
             continue
-        a1, a0 = fpoly.all_coeffs()
-        root = -_ratfunc_from_sympy(a0, _X) / _ratfunc_from_sympy(a1, _X)
-        roots.append((root, mult))
+        a1, a0 = (_integer_poly(c, _X) for c in fpoly.all_coeffs())
+        roots.append((RatFunc(-a0, a1), mult))
     roots.sort(key=lambda rm: (str(rm[0]), rm[1]))
     return roots, nonsplit
 
 
-def _ratfunc_from_sympy(expr, x_symbol) -> RatFunc:
+def _integer_poly(expr, x_symbol) -> Poly:
+    """The Z[X] polynomial of a sympy expression with integer coefficients."""
     import sympy
 
-    poly = sympy.Poly(sympy.expand(expr), x_symbol)
-    coeffs = list(reversed(poly.all_coeffs()))
-    return RatFunc(Poly(Fraction(c.p, c.q) for c in map(sympy.Rational, coeffs)))
+    coeffs = sympy.Poly(sympy.expand(expr), x_symbol).all_coeffs()
+    return Poly(int(c) for c in reversed(coeffs))

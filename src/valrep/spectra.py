@@ -27,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import FracMatrix, Matrix, SingularMatrixError
+from .poly import Poly
 from .valuation import NewtonPolygonResult, Valuation, newton_polygon
 
 NORM_SUM = "sum"
@@ -42,15 +43,23 @@ def char_poly_polygon(g: Matrix | FracMatrix, val: Valuation) -> NewtonPolygonRe
     """Newton polygon of char_poly(g) over (Q(X), nu), read fraction-free.
 
     g is a FracMatrix N/D, or a Matrix over Q(X) that is first cleared to
-    one.  Only char_poly(N) is computed, over Z[X].  With a_k its T^k
-    coefficient and m the size, char_poly(N/D) has T^k coefficient
-    c_k = a_k / D^(m-k), so nu(c_k) = nu(a_k) - (m-k) nu(D).  That change
-    of the Newton points is affine in k: it moves every root valuation by
-    -nu(D), as the eigenvalues of N/D are those of N divided by D.
+    one.  Only char_poly(N) is computed, over Z[X].
     """
     image = g if isinstance(g, FracMatrix) else FracMatrix.from_matrix(g)
-    polygon = newton_polygon(image.char_poly(), val)
-    shift = val.of(image.den)
+    return quotient_polygon(image.char_poly(), image.den, val)
+
+
+def quotient_polygon(char_poly: Poly, den: Poly, val: Valuation) -> NewtonPolygonResult:
+    """Newton polygon of char_poly(N/D), from char_poly(N) over Z[X] and D.
+
+    With a_k the T^k coefficient of char_poly(N) and m its degree,
+    char_poly(N/D) has T^k coefficient c_k = a_k / D^(m-k), so
+    nu(c_k) = nu(a_k) - (m-k) nu(D).  That change of the Newton points is
+    affine in k: it moves every root valuation by -nu(D), as the
+    eigenvalues of N/D are those of N divided by D.
+    """
+    polygon = newton_polygon(char_poly, val)
+    shift = val.of(den)
     return NewtonPolygonResult(
         tuple((v - shift, m) for v, m in polygon.root_valuations), polygon.zero_roots
     )

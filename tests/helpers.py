@@ -46,13 +46,71 @@ def faddeev_leverrier(m):
     return Poly(coeffs)
 
 
+def q_monic(p):
+    """p divided by its leading coefficient, over Q."""
+    return Poly(Fraction(c) / p.leading() for c in p.coeffs) if p.coeffs else p
+
+
+def q_exact_div(a, b):
+    """a / b over Q, for b dividing a."""
+    q, r = a.divmod(b)
+    assert r.is_zero(), "inexact polynomial division"
+    return q
+
+
 def monic_euclid_gcd(a, b):
     """Monic gcd by the plain Euclidean algorithm over Q (Fraction coefficients)."""
     a = Poly(map(Fraction, a.coeffs))
     b = Poly(map(Fraction, b.coeffs))
     while not b.is_zero():
-        a, b = b, (a % b).monic()
-    return a.monic()
+        a, b = b, q_monic(a.divmod(b)[1])
+    return q_monic(a)
+
+
+def subresultant_gcd(a, b):
+    """gcd of the primitive parts of nonzero integer Polys, by the subresultant PRS.
+
+    The result is primitive with a positive leading coefficient.
+    Coefficient lists run highest degree first here.
+    """
+    from math import gcd as igcd
+
+    def primitive(cs):
+        content = igcd(*cs)
+        return [c // content for c in cs]
+
+    def prem(f, g):
+        """lc(g)^(deg f - deg g + 1) * f mod g."""
+        lg, r, e = g[0], list(f), len(f) - len(g) + 1
+        while r and len(r) >= len(g):
+            lf = r[0]
+            r = [lg * c for c in r]
+            for j, gc in enumerate(g):
+                r[j] -= lf * gc
+            k = 0
+            while k < len(r) and r[k] == 0:
+                k += 1
+            r = r[k:]
+            e -= 1
+        return [c * lg**e for c in r] if e > 0 else r
+
+    f, g = (primitive(list(reversed(p.coeffs))) for p in (a, b))
+    if len(f) < len(g):
+        f, g = g, f
+    gpart, h = 1, 1
+    while True:
+        d = len(f) - len(g)
+        r = prem(f, g)
+        if not r:
+            out = primitive(g)
+            return Poly(reversed(out if out[0] > 0 else [-c for c in out]))
+        if len(r) == 1:
+            return Poly((1,))
+        divisor = gpart * h**d
+        f, g = g, [c // divisor for c in r]
+        gpart = f[0]
+        if d > 0:
+            h = gpart**d // h ** (d - 1) if d > 1 else gpart
 
 
 def _oracle_ball(rep, radius, identity, letters, product, guard=None, generators=None):
@@ -370,22 +428,21 @@ def frac_ball(rep, radius, generators=None, degree_bound=None):
 def qx_from_matrix(m):
     """FracMatrix.from_matrix by Q[X] arithmetic, one entry at a time.
 
-    D is the monic lcm of the entry denominators, grown by a gcd and a
-    Q[X] division per non-constant denominator; each numerator is
-    num * (D / den), and one integer scale clears every coefficient.
+    D is the monic lcm of the entry denominators, grown by a monic Euclid
+    gcd and a Q[X] division per non-constant denominator; each numerator
+    is num * (D / den), and one integer scale clears every coefficient.
     """
     from math import lcm
 
     from valrep.linalg import FracMatrix
-    from valrep.poly import gcd
 
     entries = [[RatFunc.coerce(e) for e in row] for row in m.entries]
     den = Poly((Fraction(1),))
     for row in entries:
         for f in row:
             if f.den.degree > 0:
-                den = den * f.den.exact_div(gcd(den, f.den))
-    nums = [[f.num * den.exact_div(f.den) for f in row] for row in entries]
+                den = q_monic(den * q_exact_div(f.den, monic_euclid_gcd(den, f.den)))
+    nums = [[f.num * q_exact_div(den, f.den) for f in row] for row in entries]
     scale = 1
     for p in [den] + [p for row in nums for p in row]:
         for c in p.coeffs:
@@ -450,16 +507,14 @@ def qx_linear_eigenvalues(p):
     """
     import sympy
 
-    from valrep.poly import gcd
-
     t_sym, x_sym = sympy.symbols("T X")
     coeffs = [RatFunc.coerce(c) for c in p.coeffs]
     den = Poly((Fraction(1),))
     for c in coeffs:
-        den = den * c.den.exact_div(gcd(den, c.den))
+        den = den * q_exact_div(c.den, monic_euclid_gcd(den, c.den))
     expr = sympy.Integer(0)
     for i, c in enumerate(coeffs):
-        for j, q in enumerate((c.num * den.exact_div(c.den)).coeffs):
+        for j, q in enumerate((c.num * q_exact_div(den, c.den)).coeffs):
             if q:
                 expr += sympy.Rational(q.numerator, q.denominator) * x_sym**j * t_sym**i
     _, factors = sympy.factor_list(sympy.Poly(expr, t_sym, x_sym))

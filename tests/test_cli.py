@@ -265,6 +265,13 @@ def test_degree_bound_admits_its_own_degree():
     assert tight["error"]["code"] == "input"
 
 
+def test_quotient_of_large_powers_exits_0():
+    # the Z[X] gcd of (X+1)^512 and (X+2)^512 must not hang the parser or the clearing
+    payload = json.dumps({"matrix": [["(X+1)^512/(X+2)^512", "0"], ["0", "(X+2)^512/(X+1)^512"]]})
+    report = run_cli("translength", "--valuation", "adic:0", "--json", payload)
+    assert report["result"]["length"] == "0"
+
+
 NEGATIVE_BOUND_CASES = {
     "multicurve": ("--json", '{"representation": "pants", "order": "aplus:0"}'),
     "translength": ("--valuation", "adic:0", "--json", '{"matrix": [["2^3","0"],["0","1/8"]]}'),

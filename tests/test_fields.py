@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from valrep.fields import ONE, OrderSpec, RatFunc, X, format_ratfunc
-from valrep.poly import Poly
+from valrep.fields import ONE, OrderSpec, RatFunc, X, format_ratfunc, monic_form
+from valrep.poly import Poly, gcd
 
 from helpers import random_ratfunc
 
@@ -26,6 +26,47 @@ def test_canonical_form_reduces_and_is_monic():
     # (2X^2 - 2)/(2X - 2) = X + 1
     assert f == X + 1
     assert f.den == Poly([Fraction(1)])
+
+
+q_coeffs = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 8))
+q_polys = st.lists(q_coeffs, max_size=5).map(Poly)
+
+
+@settings(max_examples=150)
+@given(q_polys, q_polys.filter(bool), st.integers(-6, 6).filter(bool))
+def test_canonical_form_is_a_coprime_integer_pair(num, den, k):
+    f = RatFunc(num, den)
+    assert all(type(c) is int for c in f.num.coeffs + f.den.coeffs)
+    assert f.den.leading() > 0
+    assert gcd(f.num, f.den) == Poly((1,))  # no common factor, constants included
+    assert f.num * den == num * f.den  # the same element of Q(X)
+    again = RatFunc(num * k, den * k)
+    assert (again.num, again.den) == (f.num, f.den) and hash(again) == hash(f)
+    if f.is_constant():
+        assert hash(f) == hash(f.as_fraction()) and f == f.as_fraction()
+
+
+@settings(max_examples=100)
+@given(q_polys, q_polys.filter(bool))
+def test_monic_form_matches_sympy_cancel(num, den):
+    import sympy
+
+    x = sympy.Symbol("X")
+
+    def expr(p):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p.coeffs)),
+            sympy.Integer(0),
+        )
+
+    def poly(e):
+        return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(e.all_coeffs()))
+
+    top, bottom = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+    top, bottom = sympy.Poly(top, x, domain="QQ"), sympy.Poly(bottom, x, domain="QQ")
+    lead = bottom.LC()
+    expected = poly(top.exquo_ground(lead)), poly(bottom.exquo_ground(lead))
+    assert monic_form(RatFunc(num, den)) == expected
 
 
 def test_zero_normalizes_den_to_one():

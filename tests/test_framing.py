@@ -1,7 +1,6 @@
 """Eigen-Lagrangians, framing tables and maximality verification."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -46,7 +45,7 @@ def test_linear_eigenvalues_of_split_poly():
     roots, nonsplit = linear_eigenvalues(image.char_poly())
     assert nonsplit == 0
     assert len(roots) == 4 and all(m == 1 for _, m in roots)
-    den = RatFunc(Poly(map(Fraction, image.den.coeffs)))
+    den = RatFunc(image.den)
     got = {str(mu / den) for mu, _ in roots}
     assert got == {"X", "2*X", "(1)/(X)", "(1/2)/(X)"}
 

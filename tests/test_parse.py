@@ -126,3 +126,14 @@ def test_parser_returns_a_value_or_a_parse_error(text):
         assert 0 <= err.position <= len(text)
     else:
         assert isinstance(value, RatFunc)
+
+
+def test_coefficient_bits_are_measured_on_the_monic_form():
+    # 3*2^127/(2^127*X+1) is stored as that Z[X] pair, of height 129 bits, but
+    # displayed as (3)/(X+1/2^127), of height 127: the bound 64 (B + 1) = 128
+    # reads the displayed form, on both sides of it
+    accepted = parse_ratfunc("(3*2^127/(2^127*X+1))^1", max_degree=1)
+    assert accepted.num == Poly((3 * 2**127,)) and accepted.den == Poly((1, 2**127))
+    assert format_ratfunc(accepted) == f"(3)/(X+1/{2**127})"
+    with pytest.raises(ParseError, match="power of 129 coefficient bits exceeds 128"):
+        parse_ratfunc("(3*2^128*2/(2^128*2*X+1))^1", max_degree=1)

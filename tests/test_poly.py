@@ -1,28 +1,36 @@
-"""Property tests of Poly division, gcd and deflation, over Q and over Z.
+"""Property tests of the Z[X] gcd and exact quotient, Q[X] division and deflation.
 
-gcd runs a subresultant sequence on primitive integer coefficients for
-Q and Z inputs; `monic_euclid_gcd` (helpers.py) is the plain monic
-Euclidean algorithm it replaces.  `deflate_at` makes one Horner pass per
-factor of (X - a); `two_pass_deflate` is the evaluate-then-divide
-version it replaces.
+gcd runs GCDHEU on Kronecker-packed integer values; `subresultant_gcd`
+(helpers.py) is the subresultant PRS it replaces and `monic_euclid_gcd`
+the plain monic Euclidean algorithm over Q.  `deflate_at` makes one
+Horner pass per factor of (X - a); `two_pass_deflate` is the
+evaluate-then-divide version it replaces.
 """
 
 from fractions import Fraction
+from math import gcd as igcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from valrep.poly import Poly, exact_quotient, gcd, primitive_gcd, split_content
+from valrep import poly
+from valrep.poly import Poly, exact_quotient, gcd
 
-from helpers import monic_euclid_gcd, two_pass_deflate
+from helpers import monic_euclid_gcd, q_monic, subresultant_gcd, two_pass_deflate
 
 ints = st.integers(-20, 20)
 int_polys = st.lists(ints, max_size=5).map(Poly)
+nonzero_int_polys = int_polys.filter(lambda p: not p.is_zero())
 rational_polys = st.lists(
     st.builds(Fraction, ints, st.integers(1, 6)), max_size=5
 ).map(Poly)
 polys = st.one_of(int_polys, rational_polys)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
+
+
+def positive(p):
+    """p or -p, whichever has a positive leading coefficient."""
+    return -p if p.coeffs and p.leading() < 0 else p
 
 
 @given(polys, nonzero_polys)
@@ -33,25 +41,59 @@ def test_divmod_is_exact_euclidean_division(a, b):
     assert all(type(c) in (int, Fraction) for c in q.coeffs + r.coeffs)
 
 
-@given(polys, polys)
-def test_gcd_is_monic_and_divides_both(a, b):
+@given(int_polys, int_polys)
+def test_gcd_is_positive_and_divides_both(a, b):
     g = gcd(a, b)
     if a.is_zero() and b.is_zero():
         assert g.is_zero()
         return
-    assert g.leading() == 1
-    assert all(type(c) in (int, Fraction) for c in g.coeffs)
-    assert (a % g).is_zero() and (b % g).is_zero()
+    assert g.leading() > 0
+    assert all(type(c) is int for c in g.coeffs)
+    cofactors = [exact_quotient(p, g) for p in (a, b)]
+    assert gcd(*cofactors) == Poly((1,))
 
 
-@given(polys, polys, polys)
+@given(int_polys, int_polys, int_polys)
 def test_gcd_of_common_multiples(a, b, c):
-    assert gcd(a * c, b * c) == gcd(a, b) * c.monic()
+    assert gcd(a * c, b * c) == gcd(a, b) * positive(c)
 
 
-@given(polys, polys)
-def test_subresultant_gcd_matches_monic_euclid(a, b):
-    assert gcd(a, b) == monic_euclid_gcd(a, b)
+@settings(max_examples=200)
+@given(nonzero_int_polys, nonzero_int_polys, int_polys)
+def test_gcd_matches_subresultant_prs(a, b, c):
+    if not c.is_zero():
+        a, b = a * c, b * c
+    content = igcd(igcd(*a.coeffs), igcd(*b.coeffs))
+    g = gcd(a, b)
+    assert g == subresultant_gcd(a, b) * content
+    assert q_monic(g) == monic_euclid_gcd(a, b)
+
+
+@given(nonzero_int_polys, nonzero_int_polys)
+def test_gcd_splits_off_the_content(p, q):
+    cp, cq = igcd(*p.coeffs), igcd(*q.coeffs)
+    pp, pq = exact_quotient(p, Poly((cp,))), exact_quotient(q, Poly((cq,)))
+    assert gcd(p, q) == gcd(pp, pq) * igcd(cp, cq)
+    assert gcd(p, p) == positive(p)
+    assert gcd(p, Poly((cq,))) == Poly((igcd(cp, cq),))
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        ((-16, -10, -13, 20), (20, -15, 10, -18), (1,)),
+        ((51, -267, 366, -72), (-255, -76, -172, -37, 20), (-17, 4)),
+        ((180, -62, 50, 3), (0, -162, -189, 278, 16), (18, 1)),
+    ],
+)
+def test_gcd_doubles_the_width_when_the_first_digits_miss(a, b, expected, monkeypatch):
+    # at the first width the digits of igcd(f(2^b), g(2^b)) are not the gcd
+    widths = []
+    unpack = poly.unpack
+    monkeypatch.setattr(poly, "unpack", lambda v, width: widths.append(width) or unpack(v, width))
+    a, b = Poly(a), Poly(b)
+    assert gcd(a, b) == Poly(expected) == subresultant_gcd(a, b)
+    assert len(widths) == 2 and widths[1] == 2 * widths[0]
 
 
 ANCHORS = (0, 1, -2, Fraction(1), Fraction(-2), Fraction(1, 2))
@@ -65,20 +107,11 @@ def test_deflate_matches_two_pass_deflation(g, a, k):
     assert fast[0] >= k and fast[1] != 0
 
 
-@given(nonzero_polys)
-def test_split_content_gives_a_primitive_integer_part(p):
-    content, q = split_content(p)
-    assert q * content == Poly(map(Fraction, p.coeffs))
-    assert all(type(c) is int for c in q.coeffs) and q.leading() > 0
-    assert primitive_gcd(q, q) == q
-
-
-@given(nonzero_polys, nonzero_polys)
+@given(nonzero_int_polys, nonzero_int_polys)
 def test_exact_quotient_in_z(a, b):
-    a, b = split_content(a)[1], split_content(b)[1]
     assert exact_quotient(a * b, b) == a
-    g = primitive_gcd(a, b)
-    assert gcd(a, b) == g.monic() and exact_quotient(a, g) * g == a
+    g = gcd(a, b)
+    assert exact_quotient(a, g) * g == a
     if b.degree > 0:
         with pytest.raises(ValueError):
             exact_quotient(a * b + Poly((1,)), b)

@@ -1,13 +1,17 @@
 """Static checks of the source tree, read with `ast`.
 
 Every import in a `src/valrep` module (apart from the package's own
-re-exports in `__init__.py`) is used by that module, and every callable
-that `perfbench/tracer.py` times, listed in its `TARGETS`, still resolves.
-perfbench is only read, never imported or edited.
+re-exports in `__init__.py`) is used by that module, every callable
+that `perfbench/tracer.py` times, listed in its `TARGETS`, still resolves,
+and every function, method and class defined in `src/valrep` is named
+somewhere besides its definition.  perfbench is only read, never
+imported or edited.
 """
 
 import ast
 import importlib
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -73,3 +77,38 @@ def test_traced_targets_resolve():
         if not callable(obj):
             missing.append(f"{module}.{qualname}")
     assert not missing, f"tracer targets that no longer resolve: {missing}"
+
+
+def definitions(tree, prefix=""):
+    """(qualified name, name) of every function, method and class, nested ones included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = prefix + node.name
+            yield qualname, node.name
+            yield from definitions(node, qualname + ".")
+
+
+def test_every_definition_is_named_elsewhere():
+    """Each definition is named in src, tests, perfbench or README.md more often than it is defined.
+
+    Dunders, which Python calls by protocol, and the tracer's TARGETS,
+    which perfbench reaches by name, are exempt.
+    """
+    sources = [*(ROOT / "src" / "valrep").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+               *(ROOT / "perfbench").rglob("*.py"), ROOT / "README.md"]
+    text = "\n".join(path.read_text() for path in sources)
+    targets = {(module, qualname) for module, qualname, _ in tracer_targets()}
+    defined = {
+        (path.stem, qualname, name)
+        for path in (ROOT / "src" / "valrep").glob("*.py")
+        for qualname, name in definitions(ast.parse(path.read_text()))
+    }
+    times_defined = Counter(name for _, _, name in defined)
+    unnamed = sorted(
+        f"{module}.{qualname}"
+        for module, qualname, name in defined
+        if not (name.startswith("__") and name.endswith("__"))
+        and (module, qualname) not in targets
+        and len(re.findall(rf"\b{re.escape(name)}\b", text)) <= times_defined[name]
+    )
+    assert not unnamed, f"defined but never named elsewhere: {unnamed}"
