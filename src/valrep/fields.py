@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Union
 
-from .poly import Poly, exact_quotient, gcd
+from .poly import Poly, gcd
 
 Rationalish = Union[int, Fraction]
 
@@ -52,9 +52,7 @@ class RatFunc:
             scale = lcm(*(c.denominator for c in coeffs))
             num = Poly((c * scale).numerator for c in num.coeffs)
             den = Poly((c * scale).numerator for c in den.coeffs)
-        g = gcd(num, den)
-        if g != _ONE:
-            num, den = exact_quotient(num, g), exact_quotient(den, g)
+        _, num, den = gcd(num, den)
         if den.coeffs[-1] < 0:
             num, den = -num, -den
         object.__setattr__(self, "num", num)
@@ -125,16 +123,13 @@ class RatFunc:
             return ZERO if t.is_zero() else _raw(t, _ONE)
         # classical coprime-part bookkeeping keeps outputs reduced without
         # a full gcd of the cross products (Z[X] is a UFD)
-        g = gcd(d1, d2)
+        g, d1r, d2r = gcd(d1, d2)
         if g == _ONE:
             return _raw(self.num * d2 + other.num * d1, d1 * d2)
-        d1r, d2r = exact_quotient(d1, g), exact_quotient(d2, g)
         t = self.num * d2r + other.num * d1r
         if t.is_zero():
             return ZERO
-        h = gcd(t, g)
-        if h != _ONE:
-            t, g = exact_quotient(t, h), exact_quotient(g, h)
+        _, t, g = gcd(t, g)
         return _raw(t, d1r * d2r * g)
 
     __radd__ = __add__
@@ -221,10 +216,8 @@ def _raw(num: Poly, den: Poly) -> "RatFunc":
 def _cross_reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if den.coeffs == (1,):
         return num, den
-    g = gcd(num, den)
-    if g == _ONE:
-        return num, den
-    return exact_quotient(num, g), exact_quotient(den, g)
+    _, num, den = gcd(num, den)
+    return num, den
 
 
 def _as_poly(value) -> Poly:

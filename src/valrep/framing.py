@@ -8,11 +8,13 @@ equivariance is checked on the listed symmetries only.
 
 Attracting Lagrangians of hyperbolic elements are computed exactly: g is
 cleared to N/D over Z[X] (`FracMatrix`), char_poly(N) is computed once,
-its Newton polygon gives the valuations and its linear roots over Z[X],
-divided by D, the eigenvalues in Q(X); the n valuation-dominant
-eigenvalues are collected (requiring a strict slope gap to the rest), and
-the span of their eigenspaces is verified to be Lagrangian.  Non-split
-dominant spectrum is reported, never approximated.
+and its Newton polygon gives the valuations.  char_poly(N) is monic over
+Z[X], which is integrally closed, so its roots in Q(X) lie in Z[X];
+`roots.linear_eigenvalues` finds them with integer arithmetic alone, and
+divided by D they are the eigenvalues of g in Q(X).  The n
+valuation-dominant eigenvalues are collected (requiring a strict slope
+gap to the rest), and the span of their eigenspaces is verified to be
+Lagrangian.  Non-split dominant spectrum is reported, never approximated.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def attracting_lagrangian(g: Matrix, val: Valuation) -> Lagrangian:
 
     g is cleared once to N/D over Z[X] and char_poly(N) is computed once:
     the Newton polygon comes from it and nu(D), and the eigenvalues in
-    Q(X) are its linear roots, divided by D.  Preconditions checked: the
+    Q(X) are its roots in Z[X] (`linear_eigenvalues`), divided by D.  Preconditions checked: the
     dominant block splits over Q(X), there is a strict valuation gap below
     the remaining spectrum, and the block is diagonalizable (eigenspace
     dimensions match multiplicities).  The resulting span is validated as

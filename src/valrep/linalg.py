@@ -368,18 +368,18 @@ class FracMatrix:
         """Clear every entry denominator of m (entries in Q(X) or Q), in Z[X].
 
         Every entry is a coprime Z[X] pair num/den.  D is the Z[X] lcm of
-        the distinct dens, grown by one gcd and one exact quotient per
-        den, and each den gets one cofactor D / den, so an entry num/den
-        is num (D / den) over D.  D's leading coefficient is positive, as
-        every den's is.
+        the distinct dens, grown by one gcd g per den (D gains the gcd's
+        cofactor den / g), and each den gets one cofactor D / den, so an
+        entry num/den is num (D / den) over D.  D's leading coefficient is
+        positive, as every den's is.
         """
         entries = [[RatFunc.coerce(e) for e in row] for row in m.entries]
         dens = dict.fromkeys(f.den for row in entries for f in row if f.den != _ONE_Z)
         den = _ONE_Z
         for d in dens:
-            g = gcd(den, d)
+            g, _, d_over_g = gcd(den, d)
             if g != d:
-                den = den * (d if g == _ONE_Z else exact_quotient(d, g))
+                den = den * d_over_g
         cofactors = {d: _ONE_Z if d == den else exact_quotient(den, d) for d in dens}
         cofactors[_ONE_Z] = den
         return cls.from_polys([[f.num * cofactors[f.den] for f in row] for row in entries], den)
@@ -489,7 +489,7 @@ class FracMatrix:
                 if not v:
                     deg = 0
                 else:
-                    g = gcd(unpack(v, width), self.den).degree
+                    g = gcd(unpack(v, width), self.den)[0].degree
                     deg = max(dn - g, dd - g, 0)
                 if deg > bound and (worst is None or deg > worst):
                     worst = deg

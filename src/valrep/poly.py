@@ -9,8 +9,9 @@ matrices) and `Poly` itself (characteristic polynomials in T over Z[X]).
 
 Ring operations (+, -, *) work over any of these.  The routines at the
 end stay in Z[X]: `gcd` (content gcd times a heuristic gcd of primitive
-parts), `exact_quotient`, and Kronecker packing (Harvey 2009), the map
-p -> p(2^b) onto Python ints that fraction-free matrices and `gcd` run
+parts, returned with both exact cofactors), `exact_quotient`, and
+Kronecker packing (Harvey 2009), the map p -> p(2^b) onto Python ints
+that fraction-free matrices, `gcd` and the root finder of `roots` run
 on.  `divmod` is Euclidean division over Q, and `deflate_at` evaluates
 at a rational point; nothing here ever rounds.
 """
@@ -190,36 +191,51 @@ class Poly:
             k += 1
 
 
-def gcd(a: Poly, b: Poly) -> Poly:
-    """The gcd in Z[X] of integer polynomials, with positive leading coefficient.
+def gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(h, a / h, b / h): the gcd h in Z[X] of integer polynomials, with
+    positive leading coefficient, and its two exact cofactors.
 
-    It is the gcd of the contents times the gcd of the primitive parts
+    h is the gcd of the contents times the gcd of the primitive parts
     f and g, found by GCDHEU (Char, Geddes & Gonnet 1989) on their
     Kronecker-packed values at X = 2^b: the primitive part of the balanced
-    digits of h = igcd(f(2^b), g(2^b)) is the gcd once it divides f and g
-    exactly; otherwise b doubles.  b starts at bitlen(max |coefficient|)
-    + 2, so that 2^b > 2 min(|f|, |g|) + 2 (|f| the largest |coefficient|
-    of f), as the theorem needs.  The
-    loop ends: h = c G(2^b) with G the gcd and c dividing Res(f/G, g/G),
-    so once 2^b outgrows c G the digits are c G's coefficients.
+    digits of igcd(f(2^b), g(2^b)) is the gcd once it divides f and g
+    exactly, and those two exact quotients are the cofactors; otherwise
+    b doubles.  b starts at bitlen(max |coefficient|) + 2, so that
+    2^b > 2 min(|f|, |g|) + 2 (|f| the largest |coefficient| of f), as the
+    theorem needs.  The loop ends: igcd(f(2^b), g(2^b)) = c G(2^b) with G
+    the gcd and c dividing Res(f/G, g/G), so once 2^b outgrows c G the
+    digits are c G's coefficients.  gcd(0, 0) is (0, 0, 0).
     """
     if not a.coeffs or not b.coeffs:
         p = a if a.coeffs else b
-        return -p if p.coeffs and p.coeffs[-1] < 0 else p
+        if not p.coeffs:
+            return p, p, p
+        sign = 1 if p.coeffs[-1] > 0 else -1
+        unit = Poly((sign,))
+        return p * sign, unit if a.coeffs else a, unit if b.coeffs else b
     ca, cb = igcd(*a.coeffs), igcd(*b.coeffs)
     content = igcd(ca, cb)
     if len(a.coeffs) == 1 or len(b.coeffs) == 1:
-        return Poly((content,))
-    f = Poly(c // ca for c in a.coeffs)
-    g = Poly(c // cb for c in b.coeffs)
+        return Poly((content,)), _divide(a, content), _divide(b, content)
+    f, g = _divide(a, ca), _divide(b, cb)
     width = max(map(abs, f.coeffs + g.coeffs)).bit_length() + 2
     while True:
         h = unpack(igcd(pack(f, width), pack(g, width)), width)
         h_content = igcd(*h.coeffs) if h.coeffs[-1] > 0 else -igcd(*h.coeffs)
-        h = Poly(c // h_content for c in h.coeffs)
-        if h.degree == 0 or (_divides(h, f) and _divides(h, g)):
-            return h * content
-        width *= 2
+        h = _divide(h, h_content)
+        if h.degree == 0:
+            return Poly((content,)), _divide(a, content), _divide(b, content)
+        try:  # h is primitive, so it divides a and b exactly when it divides f and g
+            aq, bq = exact_quotient(a, h), exact_quotient(b, h)
+        except ValueError:
+            width *= 2
+            continue
+        return h * content, _divide(aq, content), _divide(bq, content)
+
+
+def _divide(p: Poly, k: int) -> Poly:
+    """p / k for an integer k dividing every coefficient of p."""
+    return p if k == 1 else Poly(c // k for c in p.coeffs)
 
 
 def exact_quotient(a: Poly, b: Poly) -> Poly:
@@ -244,36 +260,64 @@ def exact_quotient(a: Poly, b: Poly) -> Poly:
     return Poly(quo)
 
 
-def _divides(b: Poly, a: Poly) -> bool:
-    try:
-        exact_quotient(a, b)
-    except ValueError:
-        return False
-    return True
-
-
 # -- Kronecker packing -----------------------------------------------------
+
+_DIGIT_LOOP = 32  # pieces of at most this many digits are packed and unpacked digit by digit
 
 
 def pack(p: Poly, width: int) -> int:
-    """p(2^width) for an integer Poly p."""
-    v = 0
-    for c in reversed(p.coeffs):
-        v = (v << width) + c
-    return v
+    """p(2^width) for an integer Poly p.
+
+    The coefficient list is split in halves recursively, so the big-int
+    work is O(log n) passes over the result rather than one per digit.
+    """
+    return _pack(p.coeffs, width)
+
+
+def _pack(coeffs: tuple, width: int) -> int:
+    if len(coeffs) <= _DIGIT_LOOP:
+        v = 0
+        for c in reversed(coeffs):
+            v = (v << width) + c
+        return v
+    k = len(coeffs) // 2
+    return _pack(coeffs[:k], width) + (_pack(coeffs[k:], width) << (k * width))
 
 
 def unpack(v: int, width: int) -> Poly:
     """The integer Poly whose coefficients are the balanced base-2^width digits of v.
 
     Each digit lies in [-2^(width-1), 2^(width-1)), so `unpack` inverts
-    `pack` on every p whose |coefficients| are below 2^(width-1).
+    `pack` on every p whose |coefficients| are below 2^(width-1).  The
+    width must be at least 2.  With n = bitlen(|v|) // width + 1, so that
+    |v| < 2^(width n - 1), the n lowest digits leave a rest of 0 or +-1,
+    which is the last digit.
     """
-    mask, half, out = (1 << width) - 1, 1 << (width - 1), []
-    while v:
-        digit = v & mask
-        if digit >= half:
-            digit -= 1 << width
-        out.append(digit)
-        v = (v - digit) >> width
-    return Poly(out)
+    digits: list[int] = []
+    rest = _balanced_digits(v, width, v.bit_length() // width + 1, digits)
+    if rest:
+        digits.append(rest)
+    return Poly(digits)
+
+
+def _balanced_digits(v: int, width: int, n: int, out: list) -> int:
+    """Append the n lowest balanced digits of v to out; return the rest of v.
+
+    The rest r satisfies v = sum d_i 2^(i width) + r 2^(n width).  Above
+    the digit loop, the low half is v's plain residue mod 2^(k width);
+    its own rest (0 or 1) is the carry of its balanced digits into the
+    high half.
+    """
+    if n <= _DIGIT_LOOP:
+        mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
+        for _ in range(n):
+            digit = v & mask
+            if digit >= half:
+                digit -= full
+            out.append(digit)
+            v = (v - digit) >> width
+        return v
+    k = n // 2
+    shift = k * width
+    carry = _balanced_digits(v & ((1 << shift) - 1), width, k, out)
+    return _balanced_digits((v >> shift) + carry, width, n - k, out)

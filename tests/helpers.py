@@ -24,6 +24,26 @@ def random_ratfunc(rng, max_deg=3, coeff_bound=6):
 # -- slow oracles for the fast paths ------------------------------------------
 
 
+def digit_pack(p, width):
+    """p(2^width), one coefficient per shift (the digit loop `pack` splits)."""
+    v = 0
+    for c in reversed(p.coeffs):
+        v = (v << width) + c
+    return v
+
+
+def digit_unpack(v, width):
+    """The balanced base-2^width digits of v, one digit per step."""
+    mask, half, out = (1 << width) - 1, 1 << (width - 1), []
+    while v:
+        digit = v & mask
+        if digit >= half:
+            digit -= 1 << width
+        out.append(digit)
+        v = (v - digit) >> width
+    return Poly(out)
+
+
 def faddeev_leverrier(m):
     """Monic char poly by the Faddeev-LeVerrier recursion (divides by k).
 
@@ -530,6 +550,36 @@ def qx_linear_eigenvalues(p):
                 return RatFunc(Poly(Fraction(c.p, c.q) for c in reversed(q.all_coeffs())))
 
             roots.append((-ratfunc(a0) / ratfunc(a1), mult))
+    roots.sort(key=lambda rm: (str(rm[0]), rm[1]))
+    return roots, nonsplit
+
+
+def sympy_linear_eigenvalues(p):
+    """linear_eigenvalues by sympy's factorization of p in Z[X, T].
+
+    The factors a1 T + a0 that are linear in T give the roots -a0/a1;
+    factors of higher T-degree count towards the non-split degree.
+    """
+    import sympy
+
+    t_sym, x_sym = sympy.symbols("T X")
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    terms = {
+        (i, j): c for i, cx in enumerate(p.coeffs) for j, c in enumerate(cx.coeffs) if c
+    }
+    _, factors = sympy.factor_list(sympy.Poly.from_dict(terms, t_sym, x_sym))
+    roots, nonsplit = [], 0
+    for factor, mult in factors:
+        fpoly = sympy.Poly(factor, t_sym)
+        if fpoly.degree() > 1:
+            nonsplit += fpoly.degree() * mult
+        elif fpoly.degree() == 1:
+            a1, a0 = (
+                Poly(int(c) for c in reversed(sympy.Poly(sympy.expand(e), x_sym).all_coeffs()))
+                for e in fpoly.all_coeffs()
+            )
+            roots.append((RatFunc(-a0, a1), mult))
     roots.sort(key=lambda rm: (str(rm[0]), rm[1]))
     return roots, nonsplit
 

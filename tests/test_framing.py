@@ -1,6 +1,8 @@
 """Eigen-Lagrangians, framing tables and maximality verification."""
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -177,6 +179,51 @@ def test_failing_triple_computes_its_maslov_index_once(monkeypatch):
     assert not report.ok and report.triples_checked == 1
     assert report.violation == "triple ('0', 'None', '1') has index -1 != 1"
     assert len(calls) == 1
+
+
+def test_gcd_callers_divide_by_no_gcd_again(monkeypatch):
+    """On a framings-shaped catalogue the only exact quotients are gcd's own and lcm cofactors.
+
+    `poly.gcd` returns its cofactors, so `RatFunc` arithmetic never
+    divides by a gcd it was just given, and `FracMatrix.from_matrix`
+    divides only for its cofactors D / den.
+    """
+    from valrep import currents, fields, linalg, poly
+
+    callers = Counter()
+
+    def counting(a, b, original=poly.exact_quotient):
+        frame = sys._getframe(1)
+        callers[frame.f_globals["__name__"], frame.f_code.co_name] += 1
+        return original(a, b)
+
+    for module in (poly, fields, linalg):
+        if hasattr(module, "exact_quotient"):
+            monkeypatch.setattr(module, "exact_quotient", counting)
+    rng = random.Random(11)
+    base = diag(X, 2 * X, ONE / X, ONE / (2 * X))
+    pres = GroupPresentation(("a",), ())
+    word = parse_word("a")
+    for k in (1, 2, 3):
+        h = ratfunc_matrix(random_symplectic(rng, 2))
+        g = h @ base @ symplectic_inverse(h)
+        rep = RepTable(pres, {"a": g}, OrderSpec.at_plus(0), ADIC0)
+        x = Lagrangian.graph(Matrix.identity(2, R(1)).scale(R(k))).apply(h)
+        framing = FramingTable(
+            ("minus", "x", "gx", "plus"),
+            {"minus": repelling_lagrangian(g, ADIC0), "x": x, "gx": x.apply(g),
+             "plus": attracting_lagrangian(g, ADIC0)},
+            {word: {"minus": "minus", "plus": "plus", "x": "gx"}},
+        )
+        verify_maximal_framing(rep, framing)
+        lines = line_framing([R(k) + R(j) * X for j in range(5)])
+        currents.crossratio_axiom_check(currents.FramingCrossratio(lines, ADIC0), [lines.labels])
+    own = callers.pop(("valrep.poly", "gcd"), 0)
+    assert all(
+        module == "valrep.linalg" and name in ("from_matrix", "<dictcomp>")
+        for module, name in callers
+    ), callers
+    assert own > 0
 
 
 def test_defective_eigenvalue_error_names_the_first_by_str():

@@ -1,7 +1,8 @@
 """Static checks of the source tree, read with `ast`.
 
 Every import in a `src/valrep` module (apart from the package's own
-re-exports in `__init__.py`) is used by that module, every callable
+re-exports in `__init__.py`) is used by that module, no module imports
+sympy, which is a test-only dependency, every callable
 that `perfbench/tracer.py` times, listed in its `TARGETS`, still resolves,
 and every function, method and class defined in `src/valrep` is named
 somewhere besides its definition.  perfbench is only read, never
@@ -56,6 +57,21 @@ def test_every_import_is_used(path):
     used = used_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+def test_no_module_imports_sympy():
+    """sympy is a test oracle only: no import of it at any scope, function-local included."""
+    found = []
+    for path in sorted((ROOT / "src" / "valrep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "sympy"]
+    assert not found, f"sympy imported in src/valrep at {found}"
 
 
 def tracer_targets():
