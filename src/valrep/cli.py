@@ -25,9 +25,7 @@ from .representation import (
     DegreeGuardExceeded,
     GroupPresentation,
     NotClosedIntegral,
-    RepresentationError,
     RepTable,
-    UnknownVerdict,
     closed_point_verdict,
 )
 from .spectra import (
@@ -39,7 +37,7 @@ from .spectra import (
     jordan_valuation,
     translation_length,
 )
-from .symplectic import Lagrangian, is_symplectic, maslov
+from .symplectic import Lagrangian, crossratio, is_symplectic, maslov
 from .valuation import Valuation, canonical_valuation
 from .words import Word, parse_word
 
@@ -61,10 +59,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.degree_bound < 0:
             raise InputError(f"--degree-bound must be >= 0, got {args.degree_bound}")
         result = args.handler(args)
-    except InputError as err:
-        _emit({"schema": SCHEMA, "error": {"code": "input", "message": str(err)}})
-        return 2
-    except (ParseError, RepresentationError, SingularMatrixError, ValueError) as err:
+    except (ValueError, SingularMatrixError) as err:  # InputError, ParseError and the like
         _emit({"schema": SCHEMA, "error": {"code": "input", "message": str(err)}})
         return 2
     except DegreeGuardExceeded as err:
@@ -126,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "word" in flags:
             p.add_argument("--word", default=None)
 
-    # rep_from_args reads --order (the pants shortcut's default order)
+    # rep_from_input reads --order (the pants shortcut's default order)
     rep = ("input", "order")
     add("pants-demo", cmd_pants_demo, "order", "valuation", "radius", "kmax", "maxlen", maxlen=2)
     add("symplectic-check", cmd_symplectic_check, *rep)
@@ -147,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_input(args) -> dict:
-    if getattr(args, "inline_json", None):
+    if args.inline_json:
         raw = args.inline_json
-    elif getattr(args, "input", None):
+    elif args.input:
         try:
             with open(args.input) as fh:
                 raw = fh.read()
@@ -159,44 +154,81 @@ def load_input(args) -> dict:
         raise InputError("provide --input FILE or --json INLINE")
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as err:
+    except (RecursionError, ValueError) as err:  # RecursionError: nested too deeply
         raise InputError(f"input is not valid JSON: {err}")
     if not isinstance(data, dict):
         raise InputError("top-level JSON value must be an object")
     return data
 
 
-def parse_order_flag(args, default: str | None = None) -> OrderSpec:
-    spec = args.order or default
-    if spec is None:
-        raise InputError("--order is required for this command")
+_KINDS = {dict: ("an object", "objects"), list: ("an array", "arrays"), str: ("a string", "strings")}
+
+
+def field(data: dict, key: str, kind: type, where: str = "input", each=None, required=True):
+    """data[key], checked to be a JSON object, array or string (`kind`).
+
+    `each` checks every element of an array, or every value of an object,
+    the same way.  An absent or null field is an error when `required`,
+    and None otherwise.
+    """
+    value = data.get(key)
+    if value is None:
+        if required:
+            raise InputError(f"{where} lacks {key!r}")
+        return None
+    items = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, kind) or (each and not all(isinstance(v, each) for v in items)):
+        noun = _KINDS[kind][0] + (f" of {_KINDS[each][1]}" if each else "")
+        raise InputError(f"{where} field {key!r} must be {noun}")
+    return value
+
+
+def read_order(spec: str) -> OrderSpec:
+    """The order a --order flag or an "order" field names."""
     try:
         return OrderSpec.from_spec_string(spec)
-    except (ValueError, ZeroDivisionError) as err:
-        raise InputError(f"bad --order: {err}")
+    except ValueError as err:
+        raise InputError(f"bad order: {err}")
 
 
-def parse_valuation_flag(args, order: OrderSpec | None = None) -> Valuation:
-    if args.valuation:
-        try:
-            return Valuation.from_spec_string(args.valuation)
-        except (ValueError, ZeroDivisionError) as err:
-            raise InputError(f"bad --valuation: {err}")
-    if order is not None:
-        return canonical_valuation(order)
-    raise InputError("--valuation is required for this command")
-
-
-def matrix_from_json(value, what: str, max_degree: int) -> Matrix:
-    if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
-        raise InputError(f"{what} must be a JSON array of rows")
-    width = len(value[0])
-    if any(len(r) != width for r in value):
-        raise InputError(f"{what} has ragged rows")
+def read_valuation(spec: str) -> Valuation:
+    """The valuation a --valuation flag or a "valuation" field names."""
     try:
-        return Matrix([[parse_ratfunc(str(e), max_degree) for e in row] for row in value])
+        return Valuation.from_spec_string(spec)
+    except ValueError as err:
+        raise InputError(f"bad valuation: {err}")
+
+
+def specs_from_flags(args, default_order=None) -> tuple[OrderSpec | None, Valuation]:
+    """--order (or its default) and --valuation, which defaults to the order's canonical one."""
+    spec = args.order or default_order
+    order = read_order(spec) if spec else None
+    if args.valuation:
+        return order, read_valuation(args.valuation)
+    if order is None:
+        raise InputError("--valuation is required for this command")
+    return order, canonical_valuation(order)
+
+
+def matrix_from_json(rows: list, what: str, max_degree: int) -> Matrix:
+    if not rows or not all(isinstance(r, list) for r in rows):
+        raise InputError(f"{what} must be a JSON array of rows")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise InputError(f"{what} has ragged rows")
+    if not all(isinstance(e, (str, int, float)) for r in rows for e in r):
+        raise InputError(f"{what} entries must be strings or numbers")
+    try:
+        return Matrix([[parse_ratfunc(str(e), max_degree) for e in r] for r in rows])
     except ParseError as err:
         raise InputError(f"bad expression in {what}: {err}")
+
+
+def lagrangian_from_json(rows: list, what: str, max_degree: int) -> Lagrangian:
+    m = matrix_from_json(rows, what, max_degree)
+    try:
+        return Lagrangian.span(m)
+    except ValueError as err:
+        raise InputError(f"{what}: {err}")
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
@@ -204,51 +236,38 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
 
 
 def rep_from_json(data: dict, max_degree: int) -> RepTable:
-    for key in ("presentation", "images", "order", "valuation"):
-        if key not in data:
-            raise InputError(f"representation JSON lacks {key!r}")
-    pres_data = data["presentation"]
-    if not isinstance(pres_data, dict) or "generators" not in pres_data:
-        raise InputError("presentation needs a generators list")
-    generators = tuple(pres_data["generators"])
-    relators = tuple(parse_word(r) for r in pres_data.get("relators", ()))
-    try:
-        presentation = GroupPresentation(generators, relators)
-        order = OrderSpec.from_spec_string(data["order"])
-        valuation = Valuation.from_spec_string(data["valuation"])
-        images = {
+    pres = field(data, "presentation", dict, "representation")
+    relators = field(pres, "relators", list, "presentation", each=str, required=False) or ()
+    return RepTable(
+        GroupPresentation(
+            tuple(field(pres, "generators", list, "presentation", each=str)),
+            tuple(parse_word(r) for r in relators),
+        ),
+        {
             name: matrix_from_json(rows, f"image of {name}", max_degree)
-            for name, rows in data["images"].items()
-        }
-        return RepTable(
-            presentation,
-            images,
-            order,
-            valuation,
-            free_generators=tuple(data["free_generators"]) if "free_generators" in data else None,
-        )
-    except (RepresentationError, ValueError) as err:
-        raise InputError(str(err))
+            for name, rows in field(data, "images", dict, "representation", each=list).items()
+        },
+        read_order(field(data, "order", str, "representation")),
+        read_valuation(field(data, "valuation", str, "representation")),
+        field(data, "free_generators", list, "representation", each=str, required=False),
+    )
 
 
-def rep_from_args(args) -> RepTable:
-    data = load_input(args)
+def rep_from_input(data: dict, args) -> RepTable:
+    """The pants shortcut, a "representation" object, or the input itself as one."""
     if data.get("representation") == "pants":
-        order = OrderSpec.from_spec_string(data.get("order", args.order or "aplus:0"))
-        return pants_rep(order)
+        spec = field(data, "order", str, required=False) or args.order or "aplus:0"
+        return pants_rep(read_order(spec))
     if "representation" in data:
-        return rep_from_json(data["representation"], args.degree_bound)
+        return rep_from_json(field(data, "representation", dict), args.degree_bound)
     return rep_from_json(data, args.degree_bound)
 
 
-def word_from_args(args, data: dict | None = None) -> Word:
-    text = args.word or (data or {}).get("word")
+def word_from_args(args, data: dict) -> Word:
+    text = args.word or field(data, "word", str, required=False)
     if not text:
         raise InputError("provide --word or a word field in the input")
-    try:
-        return parse_word(str(text))
-    except ValueError as err:
-        raise InputError(str(err))
+    return parse_word(text)
 
 
 def frac_str(v) -> str:
@@ -269,9 +288,7 @@ def verdict_to_json(verdict) -> dict:
                 name: frac_str(v) for name, v in sorted(verdict.generator_valuations.items())
             },
         }
-    if isinstance(verdict, UnknownVerdict):
-        return {"kind": verdict.kind, "radius_searched": verdict.radius_searched}
-    raise TypeError(f"unknown verdict {verdict!r}")
+    return {"kind": verdict.kind, "radius_searched": verdict.radius_searched}  # UnknownVerdict
 
 
 def classification_to_json(outcome) -> dict:
@@ -297,8 +314,7 @@ def classification_to_json(outcome) -> dict:
 
 
 def cmd_pants_demo(args) -> dict:
-    order = parse_order_flag(args, default="aplus:0")
-    valuation = parse_valuation_flag(args, order)
+    order, valuation = specs_from_flags(args, default_order="aplus:0")
     rep = pants_rep(order, valuation)
     relator = parse_word("c3 c2 c1")
     trace_word = parse_word("c1^-1 c3")
@@ -316,7 +332,9 @@ def cmd_pants_demo(args) -> dict:
             }
         )
     verdict = closed_point_verdict(rep, radius=args.radius, degree_bound=args.degree_bound)
-    certificate = multicurve_certificate_ball(rep, args.maxlen, k_max=args.kmax)
+    certificate = multicurve_certificate_ball(
+        rep, args.maxlen, k_max=args.kmax, degree_bound=args.degree_bound
+    )
     return {
         "order": order.spec_string(),
         "valuation": valuation.spec_string(),
@@ -335,15 +353,15 @@ def cmd_pants_demo(args) -> dict:
 def cmd_symplectic_check(args) -> dict:
     data = load_input(args)
     if "matrix" in data:
-        m = matrix_from_json(data["matrix"], "matrix", args.degree_bound)
+        m = matrix_from_json(field(data, "matrix", list), "matrix", args.degree_bound)
         return {"symplectic": is_symplectic(m)}
-    rep = rep_from_args(args)
+    rep = rep_from_input(data, args)
     return {"symplectic": {name: True for name in sorted(rep.images)}}
 
 
 def cmd_trace(args) -> dict:
     data = load_input(args)
-    rep = rep_from_args(args)
+    rep = rep_from_input(data, args)
     word = word_from_args(args, data)
     return {"word": str(word), "trace": format_ratfunc(rep.trace(word))}
 
@@ -351,13 +369,10 @@ def cmd_trace(args) -> dict:
 def _matrix_or_rep_word(args) -> tuple[Matrix | FracMatrix, Valuation]:
     data = load_input(args)
     if "matrix" in data:
-        m = matrix_from_json(data["matrix"], "matrix", args.degree_bound)
-        order = OrderSpec.from_spec_string(args.order) if args.order else None
-        valuation = parse_valuation_flag(args, order)
-        return m, valuation
-    rep = rep_from_args(args)
-    word = word_from_args(args, data)
-    return rep.image(word), rep.valuation
+        m = matrix_from_json(field(data, "matrix", list), "matrix", args.degree_bound)
+        return m, specs_from_flags(args)[1]
+    rep = rep_from_input(data, args)
+    return rep.image(word_from_args(args, data)), rep.valuation
 
 
 def cmd_translength(args) -> dict:
@@ -381,7 +396,7 @@ def cmd_jordan(args) -> dict:
 
 
 def cmd_closed_point(args) -> dict:
-    rep = rep_from_args(args)
+    rep = rep_from_input(load_input(args), args)
     verdict = closed_point_verdict(rep, radius=args.radius, degree_bound=args.degree_bound)
     return {
         "order": rep.order.spec_string(),
@@ -392,63 +407,41 @@ def cmd_closed_point(args) -> dict:
 
 
 def _lagrangians_from_json(data: dict, count: int, max_degree: int) -> list[Lagrangian]:
-    if "lagrangians" not in data or not isinstance(data["lagrangians"], list):
-        raise InputError("input needs a lagrangians array of 2n x n matrices")
-    out = []
-    for i, rows in enumerate(data["lagrangians"]):
-        m = matrix_from_json(rows, f"lagrangian {i}", max_degree)
-        try:
-            out.append(Lagrangian.span(m))
-        except ValueError as err:
-            raise InputError(f"lagrangian {i}: {err}")
-    if len(out) != count:
-        raise InputError(f"expected {count} lagrangians, got {len(out)}")
-    return out
+    rows = field(data, "lagrangians", list, each=list)
+    if len(rows) != count:
+        raise InputError(f"expected {count} lagrangians, got {len(rows)}")
+    return [lagrangian_from_json(m, f"lagrangian {i}", max_degree) for i, m in enumerate(rows)]
 
 
 def cmd_maslov(args) -> dict:
-    data = load_input(args)
-    ls = _lagrangians_from_json(data, 3, args.degree_bound)
-    order = OrderSpec.from_spec_string(args.order) if args.order else None
-    value = maslov(ls[0], ls[1], ls[2], order)
+    ls = _lagrangians_from_json(load_input(args), 3, args.degree_bound)
+    value = maslov(ls[0], ls[1], ls[2], read_order(args.order) if args.order else None)
     return {"maslov": value, "maximal": value == ls[0].n}
 
 
 def cmd_crossratio(args) -> dict:
-    from .symplectic import crossratio as lagrangian_crossratio
-
-    data = load_input(args)
-    ls = _lagrangians_from_json(data, 4, args.degree_bound)
-    value = lagrangian_crossratio(*ls)
-    return {"crossratio": format_ratfunc(RatFunc.coerce(value))}
+    ls = _lagrangians_from_json(load_input(args), 4, args.degree_bound)
+    return {"crossratio": format_ratfunc(RatFunc.coerce(crossratio(*ls)))}
 
 
 def cmd_maximality(args) -> dict:
     data = load_input(args)
-    rep = rep_from_args(args)
-    framing_data = data.get("framing")
-    if not isinstance(framing_data, dict):
-        raise InputError("input needs a framing object")
-    labels = tuple(framing_data.get("labels", ()))
+    rep = rep_from_input(data, args)
+    framing_data = field(data, "framing", dict)
+    labels = tuple(field(framing_data, "labels", list, "framing", each=str))
     if not labels:
         raise InputError("framing needs labels in cyclic order")
-    images = {}
-    for label in labels:
-        if label not in framing_data.get("images", {}):
-            raise InputError(f"framing image missing for label {label!r}")
-        images[label] = Lagrangian.span(
-            matrix_from_json(
-                framing_data["images"][label], f"image of {label!r}", args.degree_bound
-            )
-        )
-    symmetries = None
-    if "symmetries" in framing_data:
+    images_data = field(framing_data, "images", dict, "framing", each=list)
+    images = {  # FramingTable names the labels left without an image
+        label: lagrangian_from_json(images_data[label], f"image of {label!r}", args.degree_bound)
+        for label in labels if label in images_data
+    }
+    symmetries = field(framing_data, "symmetries", dict, "framing", required=False)
+    if symmetries is not None:
         symmetries = {
-            parse_word(word_text): dict(action)
-            for word_text, action in framing_data["symmetries"].items()
+            parse_word(t): field(symmetries, t, dict, "symmetries", each=str) for t in symmetries
         }
-    framing = FramingTable(labels, images, symmetries)
-    report = verify_maximal_framing(rep, framing)
+    report = verify_maximal_framing(rep, FramingTable(labels, images, symmetries))
     return {
         "ok": report.ok,
         "triples_checked": report.triples_checked,
@@ -459,11 +452,11 @@ def cmd_maximality(args) -> dict:
 
 def cmd_periods(args) -> dict:
     data = load_input(args)
-    rep = rep_from_args(args)
-    words_field = data.get("words")
-    if not isinstance(words_field, list) or not words_field:
+    rep = rep_from_input(data, args)
+    words = field(data, "words", list, each=str)
+    if not words:
         raise InputError("input needs a nonempty words array")
-    reports = [period_via_length(rep, parse_word(str(t))) for t in words_field]
+    reports = [period_via_length(rep, parse_word(text)) for text in words]
     return {
         "periods": [
             {"word": str(r.word), "period": frac_str(r.period), "method": r.method}
@@ -473,7 +466,7 @@ def cmd_periods(args) -> dict:
 
 
 def cmd_multicurve(args) -> dict:
-    rep = rep_from_args(args)
+    rep = rep_from_input(load_input(args), args)
     outcome = multicurve_certificate_ball(
         rep, args.maxlen, k_max=args.kmax, degree_bound=args.degree_bound
     )
@@ -487,12 +480,8 @@ def cmd_multicurve(args) -> dict:
 
 def cmd_distance(args) -> dict:
     data = load_input(args)
-    if "g1" not in data or "g2" not in data:
-        raise InputError("input needs matrices g1 and g2")
-    g1 = matrix_from_json(data["g1"], "g1", args.degree_bound)
-    g2 = matrix_from_json(data["g2"], "g2", args.degree_bound)
-    order = OrderSpec.from_spec_string(args.order) if args.order else None
-    valuation = parse_valuation_flag(args, order)
+    g1, g2 = (matrix_from_json(field(data, g, list), g, args.degree_bound) for g in ("g1", "g2"))
+    valuation = specs_from_flags(args)[1]
     value = building_pseudodistance(g1, g2, valuation, args.norm)
     return {
         "norm": args.norm,

@@ -171,14 +171,7 @@ class RatFunc:
             return ONE
         if k < 0:
             return (ONE / self) ** (-k)
-        out, base = None, self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _raw(self.num**k, self.den**k)  # powers of a coprime pair stay coprime
 
     # -- evaluation and size ---------------------------------------------
 
@@ -370,19 +363,30 @@ class OrderSpec:
 
     @classmethod
     def from_spec_string(cls, text: str) -> "OrderSpec":
-        head, _, anchor = text.partition(":")
-        if head == "aplus":
-            return cls.at_plus(Fraction(anchor))
-        if head == "aminus":
-            return cls.at_minus(Fraction(anchor))
-        if head == "plusinf" and not anchor:
+        head, a = split_spec(text)
+        if head == "aplus" and a is not None:
+            return cls.at_plus(a)
+        if head == "aminus" and a is not None:
+            return cls.at_minus(a)
+        if head == "plusinf" and a is None:
             return cls.plus_infinity()
-        if head == "minusinf" and not anchor:
+        if head == "minusinf" and a is None:
             return cls.minus_infinity()
         raise ValueError(f"unknown order spec {text!r}")
 
     def __str__(self) -> str:
         return self.spec_string()
+
+
+def split_spec(text: str) -> tuple[str, Fraction | None]:
+    """("aplus", 1/2) from "aplus:1/2", ("plusinf", None) from "plusinf"; ValueError otherwise."""
+    if not isinstance(text, str):
+        raise ValueError(f"a spec is a string, not {type(text).__name__}")
+    head, _, anchor = text.partition(":")
+    try:
+        return head, Fraction(anchor) if anchor else None
+    except ZeroDivisionError:
+        raise ValueError(f"spec anchor {anchor!r} has a zero denominator")
 
 
 def _sign_q(c: Fraction) -> int:

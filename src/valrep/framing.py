@@ -56,6 +56,10 @@ class FramingTable:
         missing = [l for l in self.labels if l not in self.images]
         if missing:
             raise ValueError(f"labels without images: {missing}")
+        for word, action in (self.symmetries or {}).items():
+            unknown = {l: 0 for pair in action.items() for l in pair if l not in self.labels}
+            if unknown:
+                raise ValueError(f"symmetry {word} moves unknown labels {list(unknown)}")
 
     def image(self, label: Label) -> Lagrangian:
         return self.images[label]

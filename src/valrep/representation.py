@@ -130,8 +130,11 @@ class RepTable:
     def image(self, word: Word) -> FracMatrix:
         """The fraction-free image of a word."""
         out = FracMatrix.identity(self.size)
-        for letter in word.letters:
-            out = out @ self.letters[letter]
+        try:
+            for letter in word.letters:
+                out = out @ self.letters[letter]
+        except KeyError as err:
+            raise RepresentationError(f"word {word} uses unknown generator {err.args[0][0]!r}")
         return out
 
     def evaluate(self, word: Word) -> Matrix:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .fields import OrderSpec, RatFunc
+from .fields import OrderSpec, RatFunc, split_spec
 from .poly import Poly
 
 
@@ -113,10 +113,10 @@ class Valuation:
 
     @classmethod
     def from_spec_string(cls, text: str) -> "Valuation":
-        head, _, anchor = text.partition(":")
-        if head == "adic":
-            return cls.adic(Fraction(anchor))
-        if head == "atinf" and not anchor:
+        head, a = split_spec(text)
+        if head == "adic" and a is not None:
+            return cls.adic(a)
+        if head == "atinf" and a is None:
             return cls.at_infinity()
         raise ValueError(f"unknown valuation spec {text!r}")
 

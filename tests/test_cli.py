@@ -1,11 +1,14 @@
 """CLI commands, report schemas, determinism and exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 PY = [sys.executable, "-m", "valrep.cli"]
 
@@ -416,3 +419,156 @@ def test_symplectic_check_on_the_pants_rep(capsys):
     assert cli.main(["symplectic-check", "--json", payload]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["result"] == {"symplectic": {"c1": True, "c2": True, "c3": True}}
+
+
+def test_pants_demo_passes_its_degree_bound_to_the_multicurve_sweep(capsys):
+    from valrep import cli
+
+    argv = ["pants-demo", "--order", "aplus:0", "--radius", "1", "--degree-bound", "1"]
+    assert cli.main(argv) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "degree_guard" and error["word"] == "c1^2" and error["degree"] == 2
+
+
+REP_A = {
+    "presentation": {"generators": ["a"], "relators": []},
+    "order": "aplus:0",
+    "valuation": "adic:0",
+    "images": {"a": [["X", "0"], ["0", "1/X"]]},
+}
+FRAMING_A = {
+    "labels": ["m", "x", "gx", "p"],
+    "images": {
+        "m": [["1"], ["0"]], "x": [["1"], ["1"]], "gx": [["1"], ["X^-2"]], "p": [["0"], ["1"]]
+    },
+    "symmetries": {"a": {"m": "m", "p": "p", "x": "gx"}},
+}
+LINES_3 = {"lagrangians": [[["1"], ["0"]], [["1"], ["1"]], [["0"], ["1"]]]}
+DIAG_2 = {"matrix": [["X", "0"], ["0", "1/X"]]}
+PANTS_0 = {"representation": "pants", "order": "aplus:0"}
+
+
+DROP = object()
+
+
+def _with(base, path, value):
+    """A deep copy of base with the value at path (a tuple of keys) replaced, or dropped."""
+    out = json.loads(json.dumps(base))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+# inputs that once escaped as tracebacks: (subcommand and flags, JSON value or raw text)
+MALFORMED_INPUTS = {
+    "maslov --order 1/0": (["maslov", "--order", "aplus:1/0"], LINES_3),
+    "translength --order 1/0": (["translength", "--order", "aplus:1/0"], DIAG_2),
+    "jordan --order 1/0": (["jordan", "--order", "aplus:1/0"], DIAG_2),
+    "distance --order 1/0": (
+        ["distance", "--order", "aplus:1/0"], {"g1": DIAG_2["matrix"], "g2": DIAG_2["matrix"]}
+    ),
+    "order field 1/0": (["closed-point"], _with(REP_A, ("order",), "aplus:1/0")),
+    "valuation field 1/0": (["closed-point"], _with(REP_A, ("valuation",), "adic:1/0")),
+    "pants order 5": (["closed-point"], {"representation": "pants", "order": 5}),
+    "representation order 7": (["closed-point"], _with(REP_A, ("order",), 7)),
+    "trace word c9": (["trace", "--word", "c9"], PANTS_0),
+    "periods word c9": (["periods"], dict(PANTS_0, words=["c9"])),
+    "symmetry word c9": (
+        ["maximality"],
+        {"representation": REP_A, "framing": _with(FRAMING_A, ("symmetries",), {"c9": {"m": "m"}})},
+    ),
+    "images []": (["closed-point"], _with(REP_A, ("images",), [])),
+    "relators [5]": (["closed-point"], _with(REP_A, ("presentation", "relators"), [5])),
+    "generators 5": (["closed-point"], _with(REP_A, ("presentation", "generators"), 5)),
+    "free_generators 5": (["closed-point"], _with(REP_A, ("free_generators",), 5)),
+    "generators [[1]]": (["closed-point"], _with(REP_A, ("presentation", "generators"), [[1]])),
+    "labels [[1]]": (
+        ["maximality"], {"representation": REP_A, "framing": _with(FRAMING_A, ("labels",), [[1]])}
+    ),
+    "symmetries c1: 5": (
+        ["maximality"],
+        {"representation": REP_A, "framing": _with(FRAMING_A, ("symmetries",), {"c1": 5})},
+    ),
+    "100000 nested [": (["closed-point"], "[" * 100_000),
+}
+
+
+@pytest.mark.parametrize("source", ["--json", "--input"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(name, source, tmp_path, capsys):
+    from valrep import cli
+
+    argv, payload = MALFORMED_INPUTS[name]
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    if source == "--input":
+        (tmp_path / "input.json").write_text(text)
+        text = str(tmp_path / "input.json")
+    assert cli.main([*argv, source, text]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "input"
+
+
+# one well-formed input per subcommand, with small --radius, --maxlen and --kmax
+WELL_FORMED = {
+    "pants-demo": (["--radius", "1", "--maxlen", "1", "--kmax", "2"], None),
+    "symplectic-check": ([], {"matrix": [["1", "X"], ["0", "1"]]}),
+    "trace": ([], dict(PANTS_0, word="c1 c2^-1")),
+    "translength": (["--valuation", "adic:0"], DIAG_2),
+    "jordan": ([], {"representation": REP_A, "word": "a"}),
+    "closed-point": (["--radius", "1"], REP_A),
+    "maslov": ([], LINES_3),
+    "crossratio": ([], {"lagrangians": LINES_3["lagrangians"] + [[["1"], ["3"]]]}),
+    "maximality": ([], {"representation": REP_A, "framing": FRAMING_A}),
+    "periods": ([], dict(PANTS_0, words=["c1", "c1 c2^-1"])),
+    "multicurve": (["--maxlen", "1", "--kmax", "2"], PANTS_0),
+    "distance": (
+        ["--valuation", "adic:0"], {"g1": DIAG_2["matrix"], "g2": [["1", "0"], ["0", "1"]]}
+    ),
+}
+TOKENS = ["", "X", "1/X", "0", "1/0", "a", "c1", "c9", "c1 c2^-1", "pants", "m", "x",
+          "aplus:0", "aplus:1/0", "aminus:x", "plusinf", "adic:0", "adic:1/0", "atinf"]
+KEYS = ["representation", "order", "valuation", "presentation", "generators", "relators",
+        "images", "free_generators", "matrix", "word", "words", "lagrangians", "framing",
+        "labels", "symmetries", "g1", "g2", "a", "m", "x", "gx", "p"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.sampled_from(TOKENS)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def paths(value, prefix=()):
+    """The path (a tuple of keys) of every value inside a JSON value, the root's () included."""
+    yield prefix
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from paths(child, prefix + (key,))
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(sorted(WELL_FORMED)), st.data())
+def test_malformed_json_shapes_exit_0_2_or_3(command, data):
+    from valrep import cli
+
+    flags, payload = WELL_FORMED[command]
+    if payload is None:  # pants-demo reads only flags
+        specs = st.sampled_from(TOKENS) | st.text(max_size=6)
+        argv = [command, *flags, f"--order={data.draw(specs)}", f"--valuation={data.draw(specs)}"]
+    else:
+        for _ in range(data.draw(st.integers(1, 2))):  # replace or drop one or two values
+            path = data.draw(st.sampled_from(list(paths(payload))))
+            value = data.draw(json_values | st.just(DROP) if path else json_values)
+            payload = _with(payload, path, value) if path else value
+        argv = [command, *flags, f"--json={json.dumps(payload)}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert json.loads(out.getvalue())["error"]["code"] == "input"

@@ -101,6 +101,27 @@ def test_pow_and_inverse():
     assert f ** 0 == 1
 
 
+@settings(max_examples=150)
+@given(q_polys, q_polys.filter(bool), st.integers(-3, 5))
+def test_pow_matches_repeated_products(num, den, k):
+    f = RatFunc(num, den)
+    if k < 0 and f.is_zero():
+        return
+    expected = ONE
+    for _ in range(abs(k)):
+        expected = expected * f
+    if k < 0:
+        expected = ONE / expected
+    power = f**k
+    assert (power.num, power.den) == (expected.num, expected.den)
+
+
+@pytest.mark.parametrize("spec", ["aplus:1/0", "aminus:-3/0", 7, None, ["aplus:0"]])
+def test_order_spec_rejects_zero_denominators_and_non_strings(spec):
+    with pytest.raises(ValueError):
+        OrderSpec.from_spec_string(spec)
+
+
 @pytest.mark.parametrize("order", ALL_ORDERS)
 def test_order_is_total_and_compatible(order):
     rng = random.Random(hash(order.spec_string()) & 0xFFFF)

@@ -162,6 +162,13 @@ def test_framing_equivariance_check():
     assert not report.ok
 
 
+def test_framing_rejects_symmetries_on_unknown_labels():
+    images = {"m": Lagrangian.horizontal(1, R(1)), "p": Lagrangian.vertical(1, R(1))}
+    for action in ({"x": "m"}, {"m": "x"}):
+        with pytest.raises(ValueError, match="unknown labels \\['x'\\]"):
+            FramingTable(("m", "p"), images, {parse_word("a"): action})
+
+
 def test_failing_triple_computes_its_maslov_index_once(monkeypatch):
     from valrep import framing as framing_module, symplectic
 

@@ -69,6 +69,13 @@ def test_reptable_rejects_bad_relator():
         RepTable(pres, {"a": g}, ORDER0, ADIC0)
 
 
+def test_image_names_a_generator_outside_the_presentation():
+    rep = pants_rep(ORDER0)
+    for use in (rep.image, rep.trace, rep.evaluate):
+        with pytest.raises(RepresentationError, match="unknown generator 'c9'"):
+            use(parse_word("c1 c9^-1"))
+
+
 def test_trace_is_class_function():
     rep = pants_rep(ORDER0)
     rng = random.Random(3)

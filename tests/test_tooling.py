@@ -128,3 +128,29 @@ def test_every_definition_is_named_elsewhere():
         and len(re.findall(rf"\b{re.escape(name)}\b", text)) <= times_defined[name]
     )
     assert not unnamed, f"defined but never named elsewhere: {unnamed}"
+
+
+def test_cli_reads_each_spec_kind_in_one_function():
+    """OrderSpec and Valuation specs reach cli.py through one reader each, flags and JSON alike."""
+    callers = {"OrderSpec": set(), "Valuation": set()}
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            func = getattr(child, "func", None)
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and func.attr == "from_spec_string"
+                and isinstance(func.value, ast.Name)
+                and func.value.id in callers
+            ):
+                callers[func.value.id].add(function)
+            visit(child, function)
+
+    visit(ast.parse((ROOT / "src" / "valrep" / "cli.py").read_text()), "<module>")
+    assert all(callers.values()), f"a spec kind is never read: {callers}"
+    spread = {kind: sorted(names) for kind, names in callers.items() if len(names) > 1}
+    assert not spread, f"spec readers called from several functions: {spread}"

@@ -170,3 +170,9 @@ def _float_roots(coeffs_low_first):
 
     with mpmath.workdps(80):
         return mpmath.polyroots(list(reversed(coeffs_low_first)), maxsteps=200, extraprec=200)
+
+
+@pytest.mark.parametrize("spec", ["adic:1/0", "adic:-2/0", 5, None, {"adic": 0}])
+def test_valuation_spec_rejects_zero_denominators_and_non_strings(spec):
+    with pytest.raises(ValueError):
+        Valuation.from_spec_string(spec)
