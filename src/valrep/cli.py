@@ -250,6 +250,7 @@ def rep_from_json(data: dict, max_degree: int) -> RepTable:
         read_order(field(data, "order", str, "representation")),
         read_valuation(field(data, "valuation", str, "representation")),
         field(data, "free_generators", list, "representation", each=str, required=False),
+        degree_bound=max_degree,
     )
 
 
@@ -257,7 +258,7 @@ def rep_from_input(data: dict, args) -> RepTable:
     """The pants shortcut, a "representation" object, or the input itself as one."""
     if data.get("representation") == "pants":
         spec = field(data, "order", str, required=False) or args.order or "aplus:0"
-        return pants_rep(read_order(spec))
+        return pants_rep(read_order(spec), degree_bound=args.degree_bound)
     if "representation" in data:
         return rep_from_json(field(data, "representation", dict), args.degree_bound)
     return rep_from_json(data, args.degree_bound)
@@ -315,7 +316,7 @@ def classification_to_json(outcome) -> dict:
 
 def cmd_pants_demo(args) -> dict:
     order, valuation = specs_from_flags(args, default_order="aplus:0")
-    rep = pants_rep(order, valuation)
+    rep = pants_rep(order, valuation, args.degree_bound)
     relator = parse_word("c3 c2 c1")
     trace_word = parse_word("c1^-1 c3")
     trace_value = rep.trace(trace_word * trace_word)
@@ -331,10 +332,8 @@ def cmd_pants_demo(args) -> dict:
                 "length": frac_str(sum(vec, Fraction(0))),
             }
         )
-    verdict = closed_point_verdict(rep, radius=args.radius, degree_bound=args.degree_bound)
-    certificate = multicurve_certificate_ball(
-        rep, args.maxlen, k_max=args.kmax, degree_bound=args.degree_bound
-    )
+    verdict = closed_point_verdict(rep, radius=args.radius)
+    certificate = multicurve_certificate_ball(rep, args.maxlen, k_max=args.kmax)
     return {
         "order": order.spec_string(),
         "valuation": valuation.spec_string(),
@@ -397,7 +396,7 @@ def cmd_jordan(args) -> dict:
 
 def cmd_closed_point(args) -> dict:
     rep = rep_from_input(load_input(args), args)
-    verdict = closed_point_verdict(rep, radius=args.radius, degree_bound=args.degree_bound)
+    verdict = closed_point_verdict(rep, radius=args.radius)
     return {
         "order": rep.order.spec_string(),
         "valuation": rep.valuation.spec_string(),
@@ -467,9 +466,7 @@ def cmd_periods(args) -> dict:
 
 def cmd_multicurve(args) -> dict:
     rep = rep_from_input(load_input(args), args)
-    outcome = multicurve_certificate_ball(
-        rep, args.maxlen, k_max=args.kmax, degree_bound=args.degree_bound
-    )
+    outcome = multicurve_certificate_ball(rep, args.maxlen, k_max=args.kmax)
     return {
         "order": rep.order.spec_string(),
         "valuation": rep.valuation.spec_string(),

@@ -34,6 +34,8 @@ are nonzero.
 Periods are computed by default through translation lengths (total, no
 framing needed); framing-based periods cross-validate them.  Multicurve
 certificates report the least K with all sampled periods in (1/K)Z.
+Word images, of single words and ball sweeps alike, come from the
+RepTable, so its degree guard (`RepTable.degree_bound`) bounds them all.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .representation import RepTable
 from .spectra import NORM_SUM, translation_length
 from .symplectic import TransversalityError, pairing_matrix
 from .valuation import INFINITY, Valuation, Value
-from .words import Word, is_class_representative, is_power_of_class
+from .words import Word, conjugacy_key, is_class_representative, is_power_of_class
 
 Label = Hashable
 
@@ -266,7 +268,7 @@ def certify_period_values(
 
 
 def multicurve_certificate_ball(
-    rep: RepTable, max_len: int, k_max: int = 16, degree_bound: int | None = None
+    rep: RepTable, max_len: int, k_max: int = 16
 ) -> Classification:
     """Certificate over every freely reduced word up to max_len.
 
@@ -278,9 +280,7 @@ def multicurve_certificate_ball(
     gens = rep.free_generators
     class_periods: dict[tuple, Fraction] = {}
     periods = []
-    from .words import conjugacy_key
-
-    for word, image in rep.iter_ball(max_len, degree_bound=degree_bound):
+    for word, image in rep.iter_ball(max_len):
         key = conjugacy_key(word, gens)
         if key not in class_periods:
             class_periods[key] = translation_length(image, rep.valuation, NORM_SUM)
@@ -305,7 +305,6 @@ def systole_sweep(
     rep: RepTable,
     radius: int,
     boundary_words: Sequence[Word] = (),
-    degree_bound: int | None = 512,
 ) -> SystoleReport:
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -313,7 +312,7 @@ def systole_sweep(
     best = None
     witness = None
     swept = 0
-    for word, image in rep.iter_ball(radius, degree_bound=degree_bound):
+    for word, image in rep.iter_ball(radius):
         if not is_class_representative(word, gens):
             continue
         if any(is_power_of_class(word, b, gens) for b in boundary_words):

@@ -1,11 +1,12 @@
 """Exact dense matrices over Q, Q(X) and Z[X], and fraction-free Q(X) matrices.
 
 Entries are duck-typed ring elements; products and characteristic
-polynomials need only +, -, * and comparison with 0, and elimination
-(rref, det, inverse) also needs /.  Elimination is ordinary
+polynomials and determinants need only +, -, * and comparison with 0,
+and elimination (rref, inverse) also needs /.  Elimination is ordinary
 division-based Gaussian elimination over a field.  Characteristic
 polynomials come from Berkowitz's division-free recursion, one algorithm
-for every entry ring here.
+for every entry ring here, and a determinant is the char poly's constant
+term up to sign.
 
 A `FracMatrix` holds a matrix over Q(X) as N/D: N with integer-polynomial
 entries, D one integer polynomial.  A Q(X) matrix is cleared in Z[X]:
@@ -202,24 +203,9 @@ class Matrix:
         return len(self.rref()[1])
 
     def det(self):
-        self._require_square()
-        m = [list(row) for row in self.entries]
-        n = self.rows
-        det = self.one()
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pivot_row is None:
-                return self.zero_entry()
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = self.one() / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+        """(-1)^n times the constant term of the division-free char poly."""
+        c = self.char_poly().coefficient(0)
+        return -c if self.rows % 2 else c
 
     def inverse(self) -> "Matrix":
         self._require_square()

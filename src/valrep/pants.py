@@ -39,8 +39,10 @@ def pants_presentation() -> GroupPresentation:
     return GroupPresentation(("c1", "c2", "c3"), (parse_word("c3 c2 c1"),))
 
 
-def pants_rep(order: OrderSpec, valuation: Valuation | None = None) -> RepTable:
-    """The demo representation, with c3 := (c2 c1)^{-1}."""
+def pants_rep(
+    order: OrderSpec, valuation: Valuation | None = None, degree_bound: int | None = 512
+) -> RepTable:
+    """The demo representation, with c3 := (c2 c1)^{-1}, under the given degree guard."""
     c1 = matrix_from_strings(C1_ENTRIES)
     c2 = matrix_from_strings(C2_ENTRIES)
     c3 = symplectic_inverse(c2 @ c1)
@@ -50,6 +52,7 @@ def pants_rep(order: OrderSpec, valuation: Valuation | None = None) -> RepTable:
         order,
         valuation or canonical_valuation(order),
         free_generators=("c1", "c2"),
+        degree_bound=degree_bound,
     )
 
 

@@ -19,7 +19,10 @@ where a caller asks for one (`evaluate`, `trace`).  The degree guard
 measures the largest degree of a *reduced* entry, as if each entry were
 canonical; since reduction never raises a degree, an entry needs its gcd
 only when max(deg N_ij, deg D) exceeds the bound, and deg N_ij is read
-exactly from the packed int's bit length (see `linalg.FracMatrix`).
+exactly from the packed int's bit length (see `linalg.FracMatrix`).  The
+RepTable owns the bound (`degree_bound`, 512 by default, None for no
+guard), and one product step applies it to every word image, whether
+`image` builds it letter by letter or a ball sweep shares its prefix.
 
 Closed-point verdicts follow the two sound routes: an integrality
 certificate (all generator entries in the valuation ring forces every
@@ -74,7 +77,12 @@ class GroupPresentation:
 
 
 class RepTable:
-    """Validated representation: generator -> Sp(2n, Q(X)) matrix."""
+    """Validated representation: generator -> Sp(2n, Q(X)) matrix.
+
+    Every word image, the relators' included, is built under the degree
+    guard: a product with a reduced entry of degree above `degree_bound`
+    raises DegreeGuardExceeded naming the word it is the image of.
+    """
 
     def __init__(
         self,
@@ -83,6 +91,7 @@ class RepTable:
         order: OrderSpec,
         valuation: Valuation,
         free_generators: Sequence[str] | None = None,
+        degree_bound: int | None = 512,
     ):
         if set(images) != set(presentation.generators):
             raise RepresentationError("images must cover exactly the generators")
@@ -93,6 +102,7 @@ class RepTable:
         if size % 2:
             raise RepresentationError("matrices must have even size 2n")
         self.n = size // 2
+        self.degree_bound = degree_bound
         self.letters = {}
         for name, m in images.items():
             if not m.is_square:
@@ -128,14 +138,26 @@ class RepTable:
         return Matrix.identity(self.size, self._one())
 
     def image(self, word: Word) -> FracMatrix:
-        """The fraction-free image of a word."""
+        """The fraction-free image of a word, under the degree guard."""
         out = FracMatrix.identity(self.size)
-        try:
-            for letter in word.letters:
-                out = out @ self.letters[letter]
-        except KeyError as err:
-            raise RepresentationError(f"word {word} uses unknown generator {err.args[0][0]!r}")
+        for i, letter in enumerate(word.letters):
+            if letter not in self.letters:
+                raise RepresentationError(f"word {word} uses unknown generator {letter[0]!r}")
+            out = self._times(out, letter, lambda: Word.from_reduced(word.letters[: i + 1]))
         return out
+
+    def _times(self, image: FracMatrix, letter, prefix) -> FracMatrix:
+        """image times the letter's image, under the degree guard.
+
+        `prefix` is called only when the guard fires, to build the word
+        whose image the product is, which DegreeGuardExceeded names.
+        """
+        product = image @ self.letters[letter]
+        if self.degree_bound is not None:
+            deg = product.degree_over(self.degree_bound)
+            if deg is not None:
+                raise DegreeGuardExceeded(prefix(), deg, self.degree_bound)
+        return product
 
     def evaluate(self, word: Word) -> Matrix:
         return self.image(word).to_matrix()
@@ -149,7 +171,6 @@ class RepTable:
         self,
         radius: int,
         generators: Sequence[str] | None = None,
-        degree_bound: int | None = None,
         include_identity: bool = False,
     ) -> Iterator[tuple[Word, FracMatrix]]:
         """(word, image) over the freely reduced ball, length-lex order.
@@ -157,11 +178,11 @@ class RepTable:
         Images are fraction-free FracMatrix products, shared along
         prefixes level by level.  The degree guard aborts the sweep with
         DegreeGuardExceeded when any intermediate entry, reduced, outgrows
-        the bound.
+        the bound.  Children join a level parent by parent, in alphabet
+        order, so each level is already length-lex ordered.
         """
         gens = tuple(generators or self.free_generators)
         alphabet = letter_alphabet(gens)
-        rank = {letter: i for i, letter in enumerate(alphabet)}
         identity = FracMatrix.identity(self.size)
         if include_identity:
             yield Word(), identity
@@ -174,14 +195,8 @@ class RepTable:
                     if last == (name, -exp):
                         continue
                     extended = Word.from_reduced(word.letters + ((name, exp),))
-                    product = image @ self.letters[(name, exp)]
-                    if degree_bound is not None:
-                        deg = product.degree_over(degree_bound)
-                        if deg is not None:
-                            raise DegreeGuardExceeded(extended, deg, degree_bound)
-                    nxt[extended] = product
-            for word in sorted(nxt, key=lambda w: tuple(rank[l] for l in w.letters)):
-                yield word, nxt[word]
+                    nxt[extended] = self._times(image, (name, exp), lambda: extended)
+            yield from nxt.items()
             level = nxt
 
     def trace_valuation_sample(
@@ -252,7 +267,6 @@ def integrality_certificate(rep: RepTable) -> dict[str, Fraction] | None:
 def closed_point_verdict(
     rep: RepTable,
     radius: int = 6,
-    degree_bound: int | None = 512,
 ) -> Verdict:
     """Certified closed-point test, per the two sound routes.
 
@@ -265,29 +279,23 @@ def closed_point_verdict(
     cert = integrality_certificate(rep)
     if cert is not None:
         return NotClosedIntegral(cert)
-    for word, image in _class_representatives(rep, radius, degree_bound):
+    for word, image in _class_representatives(rep, radius):
         length = translation_length(image, rep.valuation, NORM_SUM)
         if length > 0:
             return ClosedPoint(word, length)
     return UnknownVerdict(radius)
 
 
-def _class_representatives(
-    rep: RepTable, radius: int, degree_bound: int | None
-) -> Iterator[tuple[Word, FracMatrix]]:
+def _class_representatives(rep: RepTable, radius: int) -> Iterator[tuple[Word, FracMatrix]]:
     gens = rep.free_generators
-    for word, image in rep.iter_ball(radius, degree_bound=degree_bound):
+    for word, image in rep.iter_ball(radius):
         if is_class_representative(word, gens):
             yield word, image
 
 
-def sweep_translation_lengths(
-    rep: RepTable,
-    radius: int,
-    degree_bound: int | None = 512,
-) -> list[tuple[Word, Fraction]]:
+def sweep_translation_lengths(rep: RepTable, radius: int) -> list[tuple[Word, Fraction]]:
     """Translation length per conjugacy-class representative up to radius."""
     return [
         (w, translation_length(image, rep.valuation, NORM_SUM))
-        for w, image in _class_representatives(rep, radius, degree_bound)
+        for w, image in _class_representatives(rep, radius)
     ]

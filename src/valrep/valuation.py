@@ -214,18 +214,12 @@ def newton_polygon(p: Poly, val: Valuation) -> NewtonPolygonResult:
     if len(points) == 1:
         return NewtonPolygonResult((), zero_roots)
     hull = _lower_hull(points)
-    pairs: list[tuple[Fraction, int]] = []
-    for (i0, v0), (i1, v1) in zip(hull, hull[1:]):
-        slope = Fraction(v1 - v0, i1 - i0)
-        pairs.append((-slope, i1 - i0))
-    pairs.sort(key=lambda sm: sm[0])
-    merged: list[tuple[Fraction, int]] = []
-    for v, m in pairs:
-        if merged and merged[-1][0] == v:
-            merged[-1] = (v, merged[-1][1] + m)
-        else:
-            merged.append((v, m))
-    return NewtonPolygonResult(tuple(merged), zero_roots)
+    # the hull drops collinear points, so its slopes strictly increase and
+    # the root valuations -slope, read right to left, strictly increase
+    pairs = [
+        (-Fraction(v1 - v0, i1 - i0), i1 - i0) for (i0, v0), (i1, v1) in zip(hull, hull[1:])
+    ]
+    return NewtonPolygonResult(tuple(reversed(pairs)), zero_roots)
 
 
 def _lower_hull(points: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:

@@ -56,23 +56,6 @@ class Word:
         """h w h^-1."""
         return h * self * h.inverse()
 
-    def is_cyclically_reduced(self) -> bool:
-        if len(self.letters) < 2:
-            return True
-        (g1, e1), (g2, e2) = self.letters[0], self.letters[-1]
-        return not (g1 == g2 and e1 == -e2)
-
-    def cyclic_reduction(self) -> "Word":
-        letters = list(self.letters)
-        while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-            letters = letters[1:-1]
-        return Word(letters)
-
-    def rotations(self) -> Iterator["Word"]:
-        n = len(self.letters)
-        for i in range(max(n, 1)):
-            yield Word(self.letters[i:] + self.letters[:i])
-
     def __repr__(self):
         return f"Word({format_word(self)!r})"
 
@@ -93,10 +76,15 @@ def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
 
 
 _TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?")
+MAX_WORD_LETTERS = 4096  # bounds the memory and product count one exponent can ask for
 
 
 def parse_word(text: str) -> Word:
-    """Parse "c1^-1 c3" or "c1^2 c2" (whitespace-separated syllables)."""
+    """Parse "c1^-1 c3" or "c1^2 c2" (whitespace-separated syllables).
+
+    A word of more than MAX_WORD_LETTERS letters, before free reduction,
+    is rejected before its syllables are expanded.
+    """
     letters: list[Letter] = []
     for syllable in text.split():
         m = _TOKEN.fullmatch(syllable)
@@ -105,6 +93,8 @@ def parse_word(text: str) -> Word:
         name, exp = m.group(1), int(m.group(2) or 1)
         if exp == 0:
             continue
+        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+            raise ValueError(f"word {text!r} is longer than {MAX_WORD_LETTERS} letters")
         sign = 1 if exp > 0 else -1
         letters.extend([(name, sign)] * abs(exp))
     return Word(letters)
@@ -208,21 +198,16 @@ def _rotations(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 def is_power_of_class(word: Word, base: Word, generators: Sequence[str]) -> bool:
-    """Is `word` conjugate to a power of `base` (or of its inverse)?
+    """Is `word` conjugate to a power k >= 1 of `base` (or of its inverse)?
 
-    Both are compared through cyclic reductions; powers of a cyclically
-    reduced base are recognized as repeated rotations.
+    The key of a cyclically reduced base's k-th power is its key repeated
+    k times, so the keys decide it; an empty base matches only an empty
+    word's class.  A base naming a letter outside `generators` is no match.
     """
-    core = word.cyclic_reduction()
-    base_core = base.cyclic_reduction()
-    if not base_core.letters:
-        return not core.letters
-    if not core.letters:
+    if any(name not in generators for name, _ in base.letters):
         return False
-    if len(core) % len(base_core):
-        return False
-    k = len(core) // len(base_core)
-    for rot in base_core.rotations():
-        if core == rot ** k or core == (rot.inverse()) ** k:
-            return True
-    return False
+    base_key, key = conjugacy_key(base, generators), conjugacy_key(word, generators)
+    if not base_key:
+        return not key
+    k, rest = divmod(len(key), len(base_key))
+    return k >= 1 and not rest and key == base_key * k

@@ -265,6 +265,24 @@ def _coordinates_in(basis, vectors):
     return square.inverse() @ rhs
 
 
+def cyclic_core(word):
+    """The cyclic reduction of word: matching first and last letters peeled off."""
+    from valrep.words import Word
+
+    letters = word.letters
+    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
+        letters = letters[1:-1]
+    return Word(letters)
+
+
+def word_rotations(word):
+    """Every rotation of word, each built as a freely reduced Word; the identity has one."""
+    from valrep.words import Word
+
+    n = len(word.letters)
+    return [Word(word.letters[i:] + word.letters[:i]) for i in range(max(n, 1))]
+
+
 def rotation_conjugacy_key(word, generators):
     """conjugacy_key by definition: least index tuple over the rotation Words.
 
@@ -273,13 +291,12 @@ def rotation_conjugacy_key(word, generators):
     """
     from valrep.words import letter_alphabet
 
-    core = word.cyclic_reduction()
+    core = cyclic_core(word)
     index = {letter: i for i, letter in enumerate(letter_alphabet(generators))}
-    candidates = []
-    for w in core.rotations():
-        candidates.append(tuple(index[l] for l in w.letters))
-    for w in core.inverse().rotations():
-        candidates.append(tuple(index[l] for l in w.letters))
+    candidates = [
+        tuple(index[l] for l in w.letters)
+        for w in word_rotations(core) + word_rotations(core.inverse())
+    ]
     return min(candidates) if candidates else ()
 
 
@@ -290,12 +307,52 @@ def rotation_is_class_representative(word, generators, key=None):
     """
     from valrep.words import letter_alphabet
 
-    if not word.is_cyclically_reduced():
+    if cyclic_core(word) != word:
         return False
     if key is None:
         key = rotation_conjugacy_key(word, generators)
     index = {letter: i for i, letter in enumerate(letter_alphabet(generators))}
     return tuple(index[l] for l in word.letters) == key
+
+
+def rotation_is_power_of_class(word, base, generators):
+    """is_power_of_class by definition, on rotation Words.
+
+    Is the cyclic core of word the k-th power of some rotation of the
+    base's core, or of such a rotation's inverse?  An empty base matches
+    only a word whose core is empty, and a base naming a letter outside
+    `generators` matches nothing.
+    """
+    if any(name not in generators for name, _ in base.letters):
+        return False
+    core, base_core = cyclic_core(word), cyclic_core(base)
+    if not base_core.letters:
+        return not core.letters
+    if not core.letters or len(core) % len(base_core):
+        return False
+    k = len(core) // len(base_core)
+    return any(core == rot**k or core == rot.inverse() ** k for rot in word_rotations(base_core))
+
+
+def gaussian_det(m):
+    """det by Gaussian elimination over a field, with row swaps."""
+    rows = [list(row) for row in m.entries]
+    n = m.rows
+    det = m.one()
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            return m.zero_entry()
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            det = -det
+        det = det * rows[c][c]
+        inv = m.one() / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
 
 
 def gram_signature(sym, order=None):
@@ -425,6 +482,24 @@ def defined_value_axiom_check(cr, quintuples):
                 False, sym, add, f"additivity fails on {tuple(quint)}: {values}"
             )
     return AxiomReport(True, sym, add)
+
+
+def with_degree_bound(rep, bound):
+    """rep's free generators and their images, as a free-group RepTable guarded at bound.
+
+    The relators are dropped, so that a tiny bound fires in a sweep rather
+    than in the relator check of the constructor.
+    """
+    from valrep.representation import GroupPresentation, RepTable
+
+    gens = rep.free_generators
+    return RepTable(
+        GroupPresentation(gens, ()),
+        {g: rep.images[g] for g in gens},
+        rep.order,
+        rep.valuation,
+        degree_bound=bound,
+    )
 
 
 def frac_ball(rep, radius, generators=None, degree_bound=None):

@@ -427,7 +427,8 @@ def test_pants_demo_passes_its_degree_bound_to_the_multicurve_sweep(capsys):
     argv = ["pants-demo", "--order", "aplus:0", "--radius", "1", "--degree-bound", "1"]
     assert cli.main(argv) == 3
     error = json.loads(capsys.readouterr().out)["error"]
-    assert error["code"] == "degree_guard" and error["word"] == "c1^2" and error["degree"] == 2
+    # the representation owns the bound, so it fires first in the relator check c3 c2 c1
+    assert error["code"] == "degree_guard" and error["word"] == "c3" and error["degree"] == 2
 
 
 REP_A = {
@@ -495,6 +496,17 @@ MALFORMED_INPUTS = {
         {"representation": REP_A, "framing": _with(FRAMING_A, ("symmetries",), {"c1": 5})},
     ),
     "100000 nested [": (["closed-point"], "[" * 100_000),
+    "trace word c1^999999999": (["trace", "--word", "c1^999999999"], PANTS_0),
+    "relator a^999999999": (
+        ["closed-point"], _with(REP_A, ("presentation", "relators"), ["a^999999999"])
+    ),
+    "symmetry word a^999999999": (
+        ["maximality"],
+        {
+            "representation": REP_A,
+            "framing": _with(FRAMING_A, ("symmetries",), {"a^999999999": {"m": "m"}}),
+        },
+    ),
 }
 
 
@@ -510,6 +522,20 @@ def test_malformed_input_exits_2(name, source, tmp_path, capsys):
         text = str(tmp_path / "input.json")
     assert cli.main([*argv, source, text]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "input"
+
+
+@pytest.mark.parametrize("command", ["jordan", "periods", "trace", "translength"])
+def test_word_images_honour_the_degree_bound(command, capsys):
+    from valrep import cli
+
+    word = " ".join(["c1 c2^-1"] * 8)  # (c1 c2^-1)^8, whose trace has degree 16
+    argv = [command, "--json", json.dumps(dict(PANTS_0, word=word, words=[word]))]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main([*argv, "--degree-bound", "4"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "degree_guard" and error["bound"] == 4
+    assert error["word"].startswith("c1 c2^-1 c1 c2^-1")
 
 
 # one well-formed input per subcommand, with small --radius, --maxlen and --kmax

@@ -39,6 +39,7 @@ from helpers import (
     qx_pseudodistance,
     ratfunc_ball,
     ratfunc_translation_length,
+    with_degree_bound,
 )
 
 R = RatFunc.coerce
@@ -394,7 +395,7 @@ def test_degree_guard_matches_ratfunc_products(name, make, radius):
     rep = make()
     outcomes = []
     for bound in range(1, 9):
-        fast = _guard_outcome(rep.iter_ball(radius, degree_bound=bound))
+        fast = _guard_outcome(with_degree_bound(rep, bound).iter_ball(radius))
         assert fast == _guard_outcome(ratfunc_ball(rep, radius, bound)), bound
         outcomes.append(fast)
     assert outcomes[0] is not None  # the guard does fire at the smallest bound
@@ -407,13 +408,14 @@ def test_degree_guard_ignores_unreduced_degree():
     diag = [X, one, one / X, one]
     a = Matrix([[diag[i] if i == j else zero for j in range(4)] for i in range(4)])
     rep = RepTable(
-        GroupPresentation(("a",), ()), {"a": a}, OrderSpec.at_plus(0), Valuation.adic(0)
+        GroupPresentation(("a",), ()), {"a": a}, OrderSpec.at_plus(0), Valuation.adic(0),
+        degree_bound=3,
     )
-    images = dict(rep.iter_ball(2, degree_bound=3))
+    images = dict(rep.iter_ball(2))
     square = rep.image(next(w for w in images if len(w) == 2))
     assert max(p.degree for row in square.num.entries for p in row) == 4
     assert _guard_outcome(ratfunc_ball(rep, 2, 3)) is None
-    fired = _guard_outcome(rep.iter_ball(2, degree_bound=1))
+    fired = _guard_outcome(with_degree_bound(rep, 1).iter_ball(2))
     assert fired is not None and fired == _guard_outcome(ratfunc_ball(rep, 2, 1))
 
 

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from valrep.fields import ONE, RatFunc, X
 from valrep.linalg import Matrix, SingularMatrixError
 from valrep.poly import Poly
 
-from helpers import random_ratfunc
+from helpers import gaussian_det, random_ratfunc
 
 
 def frac_matrix(rows):
@@ -84,3 +85,41 @@ def test_char_poly_constant_term_is_det_up_to_sign():
     a = frac_matrix([[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
     p = a.char_poly()
     assert p.coefficient(0) == a.det()  # (-1)^4 det
+
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+qx_entries = st.builds(
+    lambda num, den: RatFunc(Poly(num), Poly(den)),
+    st.lists(rationals, min_size=1, max_size=3),
+    st.lists(rationals, min_size=1, max_size=2).filter(lambda den: any(den)),
+)
+
+
+@st.composite
+def det_matrices(draw, entries):
+    """Square matrices of size 1-5; about half are made singular.
+
+    A singular one has its last row replaced by a combination of the
+    others (by zero when it is the only row).
+    """
+    n = draw(st.integers(1, 5))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        zero = rows[0][0] * 0
+        last = [zero] * n
+        for row in rows[:-1]:
+            c = draw(entries)
+            last = [a + c * b for a, b in zip(last, row)]
+        rows[-1] = last
+    return Matrix(rows)
+
+
+@given(det_matrices(rationals))
+def test_det_matches_gaussian_elimination_over_q(m):
+    assert m.det() == gaussian_det(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(det_matrices(qx_entries))
+def test_det_matches_gaussian_elimination_over_qx(m):
+    assert m.det() == gaussian_det(m)

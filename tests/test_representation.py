@@ -24,7 +24,7 @@ from valrep.representation import (
 from valrep.valuation import INFINITY, Valuation
 from valrep.words import Word, parse_word
 
-from helpers import frac_ball
+from helpers import frac_ball, with_degree_bound
 
 ORDER0 = OrderSpec.at_plus(0)
 ADIC0 = Valuation.adic(0)
@@ -149,9 +149,9 @@ def test_integrality_soundness_sweep():
 
 
 def test_degree_guard_fires():
-    rep = pants_rep(ORDER0)
+    rep = pants_rep(ORDER0, degree_bound=2)
     with pytest.raises(DegreeGuardExceeded):
-        list(rep.iter_ball(4, degree_bound=2))
+        list(rep.iter_ball(4))
 
 
 def three_generator_rep():
@@ -192,7 +192,7 @@ def test_iter_ball_matches_word_built_sweep(make, generators):
     letters = 2 * len(generators or rep.free_generators)
     assert len(fast) == sum(letters * (letters - 1) ** k for k in range(6))
     for bound in (1, 2, 4):
-        fired = _sweep(rep.iter_ball(6, generators, degree_bound=bound))
+        fired = _sweep(with_degree_bound(rep, bound).iter_ball(6, generators))
         assert fired == _sweep(frac_ball(rep, 6, generators, degree_bound=bound)), bound
         if bound == 1:
             assert isinstance(fired[-1][0], str)  # the guard fired, naming a word

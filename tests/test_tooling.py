@@ -5,7 +5,8 @@ re-exports in `__init__.py`) is used by that module, no module imports
 sympy, which is a test-only dependency, every callable
 that `perfbench/tracer.py` times, listed in its `TARGETS`, still resolves,
 and every function, method and class defined in `src/valrep` is named
-somewhere besides its definition.  perfbench is only read, never
+somewhere besides its definition, and only `RepTable.__init__` and
+`pants_rep` take a `degree_bound`.  perfbench is only read, never
 imported or edited.
 """
 
@@ -154,3 +155,23 @@ def test_cli_reads_each_spec_kind_in_one_function():
     assert all(callers.values()), f"a spec kind is never read: {callers}"
     spread = {kind: sorted(names) for kind, names in callers.items() if len(names) > 1}
     assert not spread, f"spec readers called from several functions: {spread}"
+
+
+def test_only_the_representation_takes_a_degree_bound():
+    """The degree guard on word images has one owner: RepTable, which pants_rep passes it to."""
+    takers = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = child.args
+                    params = args.posonlyargs + args.args + args.kwonlyargs
+                    if any(a.arg == "degree_bound" for a in params):
+                        takers.add(f"{path.stem}.{prefix}{child.name}")
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, prefix + child.name + ".")
+
+        visit(tree, "")
+    assert takers == {"representation.RepTable.__init__", "pants.pants_rep"}, sorted(takers)

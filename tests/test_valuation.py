@@ -128,6 +128,8 @@ def test_newton_polygon_slope_sum_identity():
         result = newton_polygon(p, val)
         assert result.zero_roots == 0
         assert sum(result.expanded()) == val.of(coeffs[0]) - val.of(coeffs[-1])
+        valuations = [v for v, _ in result.root_valuations]
+        assert all(a < b for a, b in zip(valuations, valuations[1:])), valuations
 
 
 def test_newton_polygon_numeric_oracle():

@@ -3,6 +3,7 @@
 import pytest
 
 from valrep.words import (
+    MAX_WORD_LETTERS,
     Word,
     conjugacy_key,
     format_word,
@@ -13,7 +14,11 @@ from valrep.words import (
     words_of_length,
 )
 
-from helpers import rotation_conjugacy_key, rotation_is_class_representative
+from helpers import (
+    rotation_conjugacy_key,
+    rotation_is_class_representative,
+    rotation_is_power_of_class,
+)
 
 
 def test_free_reduction():
@@ -35,12 +40,6 @@ def test_inverse_and_power():
     assert w * w.inverse() == Word()
     assert w ** 3 == w * w * w
     assert w ** -2 == (w.inverse()) ** 2
-
-
-def test_cyclic_reduction():
-    w = parse_word("c1 c2 c1^-1")
-    assert not w.is_cyclically_reduced()
-    assert w.cyclic_reduction() == parse_word("c2")
 
 
 def test_word_counts_match_free_group():
@@ -88,6 +87,14 @@ def test_parse_rejects_garbage():
         parse_word("3x")
 
 
+def test_parse_caps_word_length_before_expanding():
+    assert len(parse_word(f"c1^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
+    assert len(parse_word(f"c1^{MAX_WORD_LETTERS - 1} c2^-1")) == MAX_WORD_LETTERS
+    for text in (f"c1^{MAX_WORD_LETTERS + 1}", f"c1^{MAX_WORD_LETTERS} c2", "c1^-999999999"):
+        with pytest.raises(ValueError, match="longer than"):
+            parse_word(text)
+
+
 @pytest.mark.parametrize("generators", [("a", "b"), ("a", "b", "c")])
 def test_index_tuple_keys_match_rotation_words(generators):
     # every freely reduced word up to length 7, identity included
@@ -97,3 +104,17 @@ def test_index_tuple_keys_match_rotation_words(generators):
         assert is_class_representative(w, generators) == (
             rotation_is_class_representative(w, generators, key)
         ), w
+
+
+POWER_BASES = ["", "c1", "c2 c1", "c1 c2^-1", "c1^2", "c2 c1 c2^-1", "c1 c2 c1^-1 c2^-1", "c3"]
+
+
+def test_power_of_class_keys_match_rotation_words():
+    # every freely reduced word up to length 6, identity included, against each base
+    gens = ("c1", "c2")
+    bases = [parse_word(text) for text in POWER_BASES]
+    for w in word_ball(gens, 6, include_identity=True):
+        for base in bases:
+            assert is_power_of_class(w, base, gens) == rotation_is_power_of_class(w, base, gens), (
+                w, base,
+            )
