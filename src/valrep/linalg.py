@@ -5,8 +5,9 @@ polynomials and determinants need only +, -, * and comparison with 0,
 and elimination (rref, inverse) also needs /.  Elimination is ordinary
 division-based Gaussian elimination over a field.  Characteristic
 polynomials come from Berkowitz's division-free recursion, one algorithm
-for every entry ring here, and a determinant is the char poly's constant
-term up to sign.
+for every entry ring here; a determinant is the char poly's constant
+term up to sign, and `symplectic.signature` reads a signature off the
+char poly's coefficient signs.
 
 A `FracMatrix` holds a matrix over Q(X) as N/D: N with integer-polynomial
 entries, D one integer polynomial.  A Q(X) matrix is cleared in Z[X]:
@@ -26,10 +27,13 @@ repacked at a width b' wide enough for every coefficient: the T^(n-k)
 coefficient is +-e_k(N), bounded by B = max_k C(n,k) k! L^(k-1) M^k
 (L a bound on the coefficient count, M on |coefficient|), and b' is the
 least doubling of b with 2B < 2^b'.  Evaluation at 2^b' is a ring map,
-so no intermediate value needs a bound.  A symplectic N/D is inverted
-with no arithmetic: J^-1 t(N) J / D is a signed rearrangement of the
-packed entries (`symplectic_rearrangement`, which works on any grid of
-entries), confirmed by one packed product equal to D^2 I.
+so no intermediate value needs a bound.  A product's bounds come from
+its factors' bounds and so compound along a chain of products: before
+a product or a char poly widens, the bounds are read again from the
+unpacked entries, and the width follows those.  A symplectic N/D is
+inverted with no arithmetic: J^-1 t(N) J / D is a signed rearrangement
+of the packed entries (`symplectic_rearrangement`, which works on any
+grid of entries), confirmed by one packed product equal to D^2 I.
 """
 
 from __future__ import annotations
@@ -342,9 +346,7 @@ class FracMatrix:
     @classmethod
     def from_polys(cls, rows: Sequence[Sequence[Poly]], den: Poly) -> "FracMatrix":
         """Pack a matrix N of integer Polys over the denominator D."""
-        polys = [p for row in rows for p in row]
-        bound = max((abs(c) for p in polys for c in p.coeffs), default=0)
-        length = max(1, max(len(p.coeffs) for p in polys))
+        bound, length = _measure([p for row in rows for p in row])
         width = _width(len(rows) * bound, PACK_WIDTH)
         packed = tuple(tuple(pack(p, width) for p in row) for row in rows)
         return cls(packed, den, width, bound, length)
@@ -385,15 +387,16 @@ class FracMatrix:
         return Matrix([unpack(v, self.width) for v in row] for row in self.packed)
 
     def __matmul__(self, other: "FracMatrix") -> "FracMatrix":
-        inner = len(other.packed)
-        bound = inner * min(self.length, other.length) * self.bound * other.bound
-        width = _width(len(self.packed) * bound, max(self.width, other.width))
-        left, right = self._at_width(width).packed, other._at_width(width).packed
-        cols = tuple(zip(*right))
-        packed = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in left)
-        return FracMatrix(
-            packed, self.den * other.den, width, bound, self.length + other.length - 1
+        a, b = self, other
+        bound, width = _product_bound(a, b)
+        if width > max(a.width, b.width):
+            a, b = a._measured(), b._measured()
+            bound, width = _product_bound(a, b)
+        cols = tuple(zip(*b._at_width(width).packed))
+        packed = tuple(
+            tuple(sum(map(mul, row, col)) for col in cols) for row in a._at_width(width).packed
         )
+        return FracMatrix(packed, a.den * b.den, width, bound, a.length + b.length - 1)
 
     def transpose(self) -> "FracMatrix":
         return FracMatrix(
@@ -428,12 +431,22 @@ class FracMatrix:
         most L^(k-1) M^k.  So b' is the least doubling of the width with
         2B < 2^b', B = max_k C(n,k) k! L^(k-1) M^k.
         """
-        n = len(self.packed)
-        bound = max(perm(n, k) * self.length ** (k - 1) * self.bound**k for k in range(1, n + 1))
-        width = _width(bound, self.width)
-        coeffs = Matrix(self._at_width(width).packed).char_poly().coeffs
+        m = self._measured() if self._char_poly_width() > self.width else self
+        width = m._char_poly_width()
+        coeffs = Matrix(m._at_width(width).packed).char_poly().coeffs
         # int(): on an all-zero matrix the leading 1 is Matrix.one()'s Fraction(1)
         return Poly(unpack(int(c), width) for c in coeffs)
+
+    def _char_poly_width(self) -> int:
+        """The width that holds every coefficient of char_poly(N), by the bound above."""
+        n = len(self.packed)
+        bound = max(perm(n, k) * self.length ** (k - 1) * self.bound**k for k in range(1, n + 1))
+        return _width(bound, self.width)
+
+    def _measured(self) -> "FracMatrix":
+        """The same matrix with the real bound and length of its entries."""
+        polys = [unpack(v, self.width) for row in self.packed for v in row]
+        return FracMatrix(self.packed, self.den, self.width, *_measure(polys))
 
     def _at_width(self, width: int) -> "FracMatrix":
         """The same matrix repacked at a larger width."""
@@ -484,6 +497,18 @@ class FracMatrix:
 
 PACK_WIDTH = 64  # the starting Kronecker width b, in bits
 _ONE_Z = Poly((1,))
+
+
+def _measure(polys: list[Poly]) -> tuple[int, int]:
+    """The largest |coefficient| and the largest coefficient count (at least 1) of polys."""
+    coeffs = [p.coeffs for p in polys]
+    return max(max(map(abs, cs), default=0) for cs in coeffs), max(1, max(map(len, coeffs)))
+
+
+def _product_bound(a: FracMatrix, b: FracMatrix) -> tuple[int, int]:
+    """A bound M on every |coefficient| of a @ b, and the width of a @ b for M."""
+    bound = len(b.packed) * min(a.length, b.length) * a.bound * b.bound
+    return bound, _width(len(a.packed) * bound, max(a.width, b.width))
 
 
 def _width(bound: int, width: int) -> int:

@@ -18,15 +18,19 @@ det Omega(l1, l2) != 0: a vector of l1 pairing to zero with all of l2
 lies in l2, since l2 is Lagrangian.
 
 The Maslov index of a triple of Lagrangians is the signature of the
-quadratic form (x1,x2,x3) -> <x1,x2> + <x2,x3> + <x3,x1>; sign decisions
-over Q(X) are delegated to an OrderSpec.  When l1 is transverse to l3 it
-is the signature of the n x n symmetric form
+quadratic form (x1,x2,x3) -> <x1,x2> + <x2,x3> + <x3,x1>.  When l1 is
+transverse to l3 it is the signature of the n x n symmetric form
 
     Q = Omega(l2, l3) . Omega(l1, l3)^-1 . Omega(l1, l2)
 
 (derivation at `maslov`); otherwise a cyclic rotation of the triple with a
 transverse first and last member is used, and only a triple with no
-transverse pair diagonalizes the 3n x 3n Gram matrix `maslov_gram`.  The
+transverse pair takes the signature of the 3n x 3n Gram matrix
+`maslov_gram`.  A signature is read off the division-free Berkowitz char
+poly by Descartes' rule of signs (`signature`), so the n x n inverse is
+the only division on this path.  Sign decisions over Q(X) are delegated
+to an OrderSpec; without one, every char-poly coefficient must be a
+rational constant, and the answer then holds in every order.  The
 orientation convention is fixed so that the n = 1 triple span(1,0),
 span(1,1), span(0,1) has index +1.
 
@@ -171,64 +175,36 @@ def pairing_matrix(a: Lagrangian, b: Lagrangian) -> Matrix:
 
 
 def signature(sym: Matrix, order: OrderSpec | None = None) -> tuple[int, int, int]:
-    """(positives, negatives, zeros) of a symmetric matrix by congruence.
+    """(positives, negatives, zeros) of a symmetric matrix, by Descartes' rule of signs.
 
-    Symmetric Gaussian elimination with the classical 2x2 fix: when the
-    whole remaining diagonal vanishes, a row/column addition turns a
-    nonzero off-diagonal entry into a nonzero diagonal one (char 0).
+    The counts are read off p = `sym.char_poly()` (Berkowitz, no division):
+    zeros is the power of T dividing p, positives the number of sign
+    changes among the nonzero coefficients of p, and negatives the same
+    count for p(-T).  This is exact.  A symmetric matrix over an ordered
+    field K is orthogonally diagonalizable over the real closure R of
+    (K, order), so p has all its roots in R, and for a polynomial with only
+    real roots Descartes' rule counts the positive and negative roots
+    with multiplicity.  The diagonalization is a congruence, so by
+    Sylvester's law of inertia these counts are the signature over R, and
+    hence over K.
+
+    Each coefficient is signed once by `element_sign`.  Without an order
+    only rational constants can be signed, so a non-constant Q(X)
+    coefficient raises ValueError; an answer given then holds in every
+    order of Q(X).
     """
     if sym != sym.transpose():
         raise ValueError("signature needs a symmetric matrix")
-    m = [list(row) for row in sym.entries]
-    size = sym.rows
-    pos = neg = zero = 0
-    i = 0
+    signs = [element_sign(c, order) for c in sym.char_poly().coeffs]
+    alternated = [-s if i % 2 else s for i, s in enumerate(signs)]
+    zeros = next(i for i, s in enumerate(signs) if s)
+    return _sign_changes(signs), _sign_changes(alternated), zeros
 
-    def sym_swap(a, b):
-        m[a], m[b] = m[b], m[a]
-        for row in m:
-            row[a], row[b] = row[b], row[a]
 
-    def sym_add(dst, src):
-        # row_dst += row_src, then col_dst += col_src
-        m[dst] = [x + y for x, y in zip(m[dst], m[src])]
-        for row in m:
-            row[dst] = row[dst] + row[src]
-
-    while i < size:
-        if m[i][i] == 0:
-            j = next((k for k in range(i + 1, size) if m[k][k] != 0), None)
-            if j is not None:
-                sym_swap(i, j)
-            else:
-                pair = next(
-                    ((a, b) for a in range(i, size) for b in range(a + 1, size) if m[a][b] != 0),
-                    None,
-                )
-                if pair is None:
-                    zero += size - i
-                    break
-                a, b = pair
-                sym_add(a, b)
-                if a != i:
-                    sym_swap(i, a)
-        # only the trailing block k, l > i is read again: replace it by
-        # its Schur complement m_kl - m_ki m_il / m_ii
-        pivot = m[i][i]
-        top = m[i]
-        for k in range(i + 1, size):
-            row = m[k]
-            if row[i] != 0:
-                f = row[i] / pivot
-                for l in range(i + 1, size):
-                    row[l] = row[l] - f * top[l]
-        s = element_sign(pivot, order)
-        if s > 0:
-            pos += 1
-        else:
-            neg += 1
-        i += 1
-    return pos, neg, zero
+def _sign_changes(signs: list[int]) -> int:
+    """Sign changes along a sequence of -1, 0, +1, ignoring the zeros."""
+    nonzero = [s for s in signs if s]
+    return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
 
 
 def maslov_gram(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> Matrix:
@@ -279,31 +255,26 @@ def maslov(
     The form is unchanged by a cyclic rotation of the triple, so when l1
     is not transverse to l3 a rotation whose first and last members are
     transverse gives the same index (and radical).  Only when no pair is
-    transverse is the 3n x 3n Gram matrix diagonalized.
+    transverse is the signature of the 3n x 3n Gram matrix taken.
     """
-    pos, neg, _ = _maslov_inertia(l1, l2, l3, order)
-    return pos - neg
+    return maslov_with_radical(l1, l2, l3, order)[0]
 
 
 def maslov_with_radical(
     l1: Lagrangian, l2: Lagrangian, l3: Lagrangian, order: OrderSpec | None = None
 ) -> tuple[int, int]:
-    """(signature, radical dimension) for degenerate configurations."""
-    pos, neg, zero = _maslov_inertia(l1, l2, l3, order)
-    return pos - neg, zero
-
-
-def _maslov_inertia(
-    l1: Lagrangian, l2: Lagrangian, l3: Lagrangian, order: OrderSpec | None
-) -> tuple[int, int, int]:
-    """(positives, negatives, zeros) of the Maslov form; see `maslov`."""
+    """(signature, radical dimension) of the Maslov form; see `maslov`."""
     for a, b, c in ((l1, l2, l3), (l2, l3, l1), (l3, l1, l2)):
         try:
             inv = pairing_matrix(a, c).inverse()
         except SingularMatrixError:
             continue
-        return signature(pairing_matrix(b, c) @ inv @ pairing_matrix(a, b), order)
-    return signature(maslov_gram(l1, l2, l3), order)
+        form = pairing_matrix(b, c) @ inv @ pairing_matrix(a, b)
+        break
+    else:
+        form = maslov_gram(l1, l2, l3)
+    pos, neg, zeros = signature(form, order)
+    return pos - neg, zeros
 
 
 def is_maximal_triple(

@@ -360,7 +360,9 @@ def gram_signature(sym, order=None):
 
     Each pivot step subtracts a multiple of the pivot row from every later
     row and then the same multiple of the pivot column from every column
-    of every row; the 2x2 fix is as in `symplectic.signature`.
+    of every row.  When the whole remaining diagonal vanishes, a row and
+    column addition turns a nonzero off-diagonal entry into a nonzero
+    diagonal one (char 0).
     """
     from valrep.fields import element_sign
 

@@ -86,6 +86,25 @@ def test_maslov_standard_triple():
     assert report["result"] == {"maslov": 1, "maximal": True}
 
 
+def test_maslov_without_order_needs_constant_char_poly_coefficients():
+    # the form is S = [[1, X], [X, X^2 + 1]]; its char poly T^2 - (X^2 + 2) T + 1
+    # has a non-constant coefficient, which only an order can sign
+    payload = json.dumps(
+        {
+            "lagrangians": [
+                [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]],
+                [["1", "0"], ["0", "1"], ["1", "X"], ["X", "X^2+1"]],
+                [["0", "0"], ["0", "0"], ["1", "0"], ["0", "1"]],
+            ]
+        }
+    )
+    report = run_cli("maslov", "--json", payload, expect=2)
+    assert report["error"]["code"] == "input"
+    assert "OrderSpec" in report["error"]["message"]
+    report = run_cli("maslov", "--json", payload, "--order", "aplus:0")
+    assert report["result"] == {"maslov": 2, "maximal": True}
+
+
 def test_crossratio_command():
     payload = json.dumps(
         {

@@ -29,7 +29,7 @@ from valrep.representation import (
 from valrep.spectra import NORM_SPREAD, NORM_SUM, building_pseudodistance, translation_length
 from valrep.symplectic import symplectic_inverse
 from valrep.valuation import Valuation
-from valrep.words import is_class_representative
+from valrep.words import is_class_representative, parse_word
 
 from helpers import (
     faddeev_leverrier,
@@ -240,6 +240,20 @@ def test_tight_bound_leaves_room_for_the_trace():
     assert a.width == 64 and square.width == 128 and square.bound == 2 * c.coeffs[0] ** 2
     assert square.num == Matrix([[c * c * 2] * 2] * 2)
     assert square.trace() == R(4 * c.coeffs[0] ** 2)
+
+
+def test_long_power_widens_only_for_its_real_coefficients():
+    # the a-priori bound of c1^k compounds with every product (about 20,000
+    # bits at k = 4096), while the real coefficients stay under 64 bits
+    rep = pants_rep(OrderSpec.at_plus(0))
+    image = rep.image(parse_word("c1^4096"))
+    assert image.width == 64
+    power, square = Matrix.identity(4, R(1)), rep.images["c1"]
+    for bit in bin(4096)[:1:-1]:
+        if bit == "1":
+            power = power @ square
+        square = square @ square
+    assert image.to_matrix() == power
 
 
 @pytest.mark.parametrize("c,width", [(H64, 64), (H64 + 1, 128), (-H64 - 1, 128), (2**64, 128)])

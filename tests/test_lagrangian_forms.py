@@ -1,11 +1,12 @@
-"""Valuation crossratios, n x n Maslov forms and trailing-block signatures.
+"""Valuation crossratios, n x n Maslov forms and char-poly signatures.
 
 Each fast path is checked against the definition it replaced (oracles in
 helpers.py): `FramingCrossratio` against -nu of the Q(X) quotient
 `symplectic.crossratio`, `crossratio_axiom_check` against the same check
 run through `defined` and `value`, `maslov` against the signature of the
 3n x 3n Gram matrix, and `signature` against elimination that updates
-whole rows and columns.
+whole rows and columns.  Without an order, `signature` answers exactly
+when every char-poly coefficient is a rational constant.
 """
 
 from fractions import Fraction
@@ -328,3 +329,24 @@ def test_signature_matches_full_update_over_q(m):
 @given(m=symmetric_matrices(qx_entries))
 def test_signature_matches_full_update_over_qx(order, m):
     assert signature(m, order) == gram_signature(m, order)
+
+
+def order_free_cases():
+    """(matrix, its signature): one whose pivots are rational constants and
+    one whose char-poly coefficients are, a rotation O^T diag(1, 2) O."""
+    x = R(Poly((0, 1)))
+    pivots_constant = Matrix([[R(1), x], [x, x * x + 1]])
+    a, b = (1 - x * x) / (1 + x * x), 2 * x / (1 + x * x)
+    rotation = Matrix([[a, -b], [b, a]])
+    coefficients_constant = rotation.transpose() @ Matrix([[R(1), R(0)], [R(0), R(2)]]) @ rotation
+    return pivots_constant, coefficients_constant
+
+
+def test_order_free_signature_needs_constant_char_poly_coefficients():
+    pivots_constant, coefficients_constant = order_free_cases()
+    with pytest.raises(ValueError, match="needs an OrderSpec"):
+        signature(pivots_constant)
+    assert signature(coefficients_constant) == (2, 0, 0)
+    for order in ORDERS:
+        assert signature(pivots_constant, order) == gram_signature(pivots_constant, order)
+        assert signature(coefficients_constant, order) == (2, 0, 0)

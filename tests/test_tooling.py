@@ -7,7 +7,9 @@ that `perfbench/tracer.py` times, listed in its `TARGETS`, still resolves,
 and every function, method and class defined in `src/valrep` is named
 somewhere besides its definition, and only `RepTable.__init__` and
 `pants_rep` take a `degree_bound`.  perfbench is only read, never
-imported or edited.
+imported or edited.  One behavioural guard sits beside them:
+`symplectic.signature` stays division-free, so it needs no division
+over Q(X) and is exact over the integers.
 """
 
 import ast
@@ -175,3 +177,28 @@ def test_only_the_representation_takes_a_degree_bound():
 
         visit(tree, "")
     assert takers == {"representation.RepTable.__init__", "pants.pants_rep"}, sorted(takers)
+
+
+def test_signature_is_division_free(monkeypatch):
+    from valrep.fields import OrderSpec, RatFunc
+    from valrep.linalg import Matrix
+    from valrep.poly import Poly
+    from valrep.symplectic import signature
+
+    from helpers import gram_signature
+
+    x = RatFunc.coerce(Poly((0, 1)))
+    one = RatFunc.coerce(1)
+    sym = Matrix([[x, one, x / (x + 1)], [one, -x, x * x], [x / (x + 1), x * x, one - x]])
+
+    orders = (OrderSpec.at_plus(0), OrderSpec.minus_infinity())
+    expected = [gram_signature(sym, order) for order in orders]
+
+    def no_division(*args):
+        raise AssertionError("signature divided in Q(X)")
+
+    monkeypatch.setattr(RatFunc, "__truediv__", no_division)
+    assert [signature(sym, order) for order in orders] == expected
+    # over Z a division would leave the ring (int / int is a float)
+    a = 3**40
+    assert signature(Matrix([[1, a], [a, a * a + 1]])) == (2, 0, 0)
