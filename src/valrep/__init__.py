@@ -10,7 +10,6 @@ from .poly import Poly
 from .symplectic import (
     Lagrangian,
     crossratio,
-    is_maximal_triple,
     is_symplectic,
     maslov,
 )
@@ -28,7 +27,6 @@ from .valuation import (
     canonical_valuation,
     check_order_compatibility,
     newton_polygon,
-    nu,
 )
 from .words import Word, parse_word
 from .representation import (
@@ -44,7 +42,6 @@ from .currents import (
     FramingCrossratio,
     TableCrossratio,
     crossratio_axiom_check,
-    crossratio_value,
     lamination_dichotomy_check,
     multicurve_certificate_ball,
     period,

@@ -51,7 +51,7 @@ from .representation import RepTable
 from .spectra import NORM_SUM, translation_length
 from .symplectic import TransversalityError, pairing_matrix
 from .valuation import INFINITY, Valuation, Value
-from .words import Word, conjugacy_key, is_class_representative, is_power_of_class
+from .words import Word, conjugacy_key, is_power_of_class
 
 Label = Hashable
 
@@ -70,9 +70,6 @@ class FramingCrossratio:
     @property
     def labels(self) -> tuple[Label, ...]:
         return self.framing.labels
-
-    def defined(self, quad: Sequence[Label]) -> bool:
-        return self.evaluate(quad) is not None
 
     def value(self, quad: Sequence[Label]) -> Fraction:
         if not self.framing.is_positively_oriented(quad):
@@ -98,7 +95,7 @@ class FramingCrossratio:
         bottom = self._nu_det(q1, q2, dets) + self._nu_det(q4, q3, dets)
         if top is INFINITY or bottom is INFINITY:
             return None
-        return (bottom - top) / 2
+        return Fraction(bottom - top, 2)
 
     def _nu_det(self, a: Label, b: Label, dets: dict) -> Value:
         key = frozenset((a, b))
@@ -116,22 +113,12 @@ class TableCrossratio:
         self.labels = tuple(labels)
         self.table = {tuple(k): Fraction(v) for k, v in table.items()}
 
-    def defined(self, quad: Sequence[Label]) -> bool:
-        return tuple(quad) in self.table
-
     def value(self, quad: Sequence[Label]) -> Fraction:
         return self.table[tuple(quad)]
 
     def evaluate(self, quad: Sequence[Label], dets: dict | None = None) -> Fraction | None:
         """The tabled value, or None; a table needs no determinants."""
         return self.table.get(tuple(quad))
-
-
-def crossratio_value(
-    framing: FramingTable, quad: Sequence[Label], valuation: Valuation
-) -> Fraction:
-    """[q1, q2, q3, q4] over the framing, at the given valuation."""
-    return FramingCrossratio(framing, valuation).value(quad)
 
 
 @dataclass(frozen=True)
@@ -150,20 +137,13 @@ def period_via_length(rep: RepTable, word: Word) -> PeriodReport:
     return PeriodReport(word, value, "translation_length")
 
 
-def period(
-    rep: RepTable,
-    framing: FramingTable,
-    word: Word,
-    x: Label,
-    minus: Label | None = None,
-    plus: Label | None = None,
-) -> PeriodReport:
+def period(rep: RepTable, framing: FramingTable, word: Word, x: Label) -> PeriodReport:
     """Framing period [g-, x, gx, g+] of the element given by `word`.
 
-    The label gx comes from the framing's listed action of `word`; the
-    fixed labels serve as g-, g+ unless given explicitly.  Whichever
-    assignment makes (g-, x, gx, g+) positively oriented is used (the
-    value is invariant under reversing the quadruple).
+    The label gx comes from the framing's listed action of `word`, and
+    the two labels it fixes serve as g-, g+.  Whichever assignment makes
+    (g-, x, gx, g+) positively oriented is used (the value is invariant
+    under reversing the quadruple).
     """
     action = framing.symmetries.get(word) if framing.symmetries else None
     if action is None:
@@ -171,17 +151,13 @@ def period(
     gx = action[x]
     if gx == x:
         raise ValueError(f"auxiliary label {x!r} is fixed by {word}")
-    if minus is None or plus is None:
-        fixed = [l for l in framing.labels if action.get(l) == l]
-        if len(fixed) != 2:
-            raise ValueError(f"need exactly two fixed labels, found {fixed}")
-        candidates = [(fixed[0], fixed[1]), (fixed[1], fixed[0])]
-    else:
-        candidates = [(minus, plus)]
+    fixed = [l for l in framing.labels if action.get(l) == l]
+    if len(fixed) != 2:
+        raise ValueError(f"need exactly two fixed labels, found {fixed}")
+    minus, plus = fixed
     cr = FramingCrossratio(framing, rep.valuation)
-    for lo, hi in candidates:
-        quad = (lo, x, gx, hi)
-        if cr.framing.is_positively_oriented(quad):
+    for quad in ((minus, x, gx, plus), (plus, x, gx, minus)):
+        if framing.is_positively_oriented(quad):
             return PeriodReport(word, cr.value(quad), "framing")
     raise OrientationError(f"no positively oriented arrangement of ({minus}, {x}, {gx}, {plus})")
 
@@ -312,9 +288,7 @@ def systole_sweep(
     best = None
     witness = None
     swept = 0
-    for word, image in rep.iter_ball(radius):
-        if not is_class_representative(word, gens):
-            continue
+    for word, image in rep.class_representatives(radius):
         if any(is_power_of_class(word, b, gens) for b in boundary_words):
             continue
         swept += 1

@@ -3,11 +3,13 @@
 Entries are duck-typed ring elements; products and characteristic
 polynomials and determinants need only +, -, * and comparison with 0,
 and elimination (rref, inverse) also needs /.  Elimination is ordinary
-division-based Gaussian elimination over a field.  Characteristic
-polynomials come from Berkowitz's division-free recursion, one algorithm
-for every entry ring here; a determinant is the char poly's constant
-term up to sign, and `symplectic.signature` reads a signature off the
-char poly's coefficient signs.
+division-based Gaussian elimination over a field; integer entries are
+eliminated over Q.  Characteristic polynomials come from Berkowitz's
+division-free recursion, one algorithm for every entry ring here (it
+sums with the builtin `sum`, as each ring accepts the int 0); a
+determinant is the char poly's constant term up to sign, and
+`symplectic.signature` reads a signature off the char poly's
+coefficient signs.
 
 A `FracMatrix` holds a matrix over Q(X) as N/D: N with integer-polynomial
 entries, D one integer polynomial.  A Q(X) matrix is cleared in Z[X]:
@@ -191,7 +193,7 @@ class Matrix:
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = self.one() / m[r][c]
+            inv = Fraction(1) / m[r][c]  # a rational unit: integer entries divide over Q
             m[r] = [inv * e for e in m[r]]
             for i in range(self.rows):
                 if i != r and m[i][c] != 0:
@@ -256,10 +258,10 @@ class Matrix:
             q = [-e[r][r]]
             for step in range(len(row)):
                 if step:
-                    v = [_dot(e[i][r + 1 :], v) for i in tail]
-                q.append(-_dot(row, v))
+                    v = [sum(map(mul, e[i][r + 1 :], v)) for i in tail]
+                q.append(-sum(map(mul, row, v)))
             p = [
-                _sum(
+                sum(
                     [q[t]]
                     + ([p[t]] if t < len(p) else [])
                     + [q[t - j] * p[j - 1] for j in range(1, t + 1)]
@@ -297,18 +299,6 @@ def symplectic_rearrangement(g: Sequence[Sequence]) -> list[list]:
     ]
     bottom = [[-g[j + n][i] for j in range(n)] + [g[j][i] for j in range(n)] for i in range(n)]
     return top + bottom
-
-
-def _dot(xs: Sequence, ys: Sequence):
-    return _sum([x * y for x, y in zip(xs, ys)])
-
-
-def _sum(terms: Sequence):
-    """Sum of a nonempty sequence, without needing a zero of the ring."""
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
 
 
 class FracMatrix:

@@ -160,10 +160,6 @@ class Poly:
             acc = acc * t + c
         return acc
 
-    def multiplicity_at(self, a) -> int:
-        """Order of vanishing at X = a, by repeated synthetic division."""
-        return self.deflate_at(a)[0]
-
     def deflate_at(self, a) -> tuple:
         """Write self = (X - a)^k * g with g(a) != 0; returns (k, g(a)).
 

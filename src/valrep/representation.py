@@ -106,7 +106,7 @@ class RepTable:
         self.letters = {}
         for name, m in images.items():
             if not m.is_square:
-                raise ValueError("symplectic matrices have even size")
+                raise RepresentationError(f"image of {name!r} is not square")
             image = FracMatrix.from_matrix(m)
             inverse = image.symplectic_inverse()
             if inverse is None:
@@ -167,26 +167,18 @@ class RepTable:
 
     # -- word sweeps -----------------------------------------------------
 
-    def iter_ball(
-        self,
-        radius: int,
-        generators: Sequence[str] | None = None,
-        include_identity: bool = False,
-    ) -> Iterator[tuple[Word, FracMatrix]]:
+    def iter_ball(self, radius: int) -> Iterator[tuple[Word, FracMatrix]]:
         """(word, image) over the freely reduced ball, length-lex order.
 
-        Images are fraction-free FracMatrix products, shared along
-        prefixes level by level.  The degree guard aborts the sweep with
-        DegreeGuardExceeded when any intermediate entry, reduced, outgrows
-        the bound.  Children join a level parent by parent, in alphabet
-        order, so each level is already length-lex ordered.
+        The words are those of length 1 to radius over the free
+        generators.  Images are fraction-free FracMatrix products, shared
+        along prefixes level by level.  The degree guard aborts the sweep
+        with DegreeGuardExceeded when any intermediate entry, reduced,
+        outgrows the bound.  Children join a level parent by parent, in
+        alphabet order, so each level is already length-lex ordered.
         """
-        gens = tuple(generators or self.free_generators)
-        alphabet = letter_alphabet(gens)
-        identity = FracMatrix.identity(self.size)
-        if include_identity:
-            yield Word(), identity
-        level: dict[Word, FracMatrix] = {Word(): identity}
+        alphabet = letter_alphabet(self.free_generators)
+        level: dict[Word, FracMatrix] = {Word(): FracMatrix.identity(self.size)}
         for _ in range(radius):
             nxt: dict[Word, FracMatrix] = {}
             for word, image in level.items():
@@ -199,14 +191,21 @@ class RepTable:
             yield from nxt.items()
             level = nxt
 
-    def trace_valuation_sample(
-        self, max_len: int, generators: Sequence[str] | None = None
-    ) -> list[tuple[Word, Value]]:
-        """nu(trace) for every freely reduced word up to max_len."""
-        out = []
-        for word, image in self.iter_ball(max_len, generators, include_identity=True):
-            out.append((word, self.valuation.of(image.trace())))
-        return out
+    def class_representatives(self, radius: int) -> Iterator[tuple[Word, FracMatrix]]:
+        """(word, image) for the length-lex first word of each class met in `iter_ball`.
+
+        Classes are conjugacy classes up to inversion, as translation
+        lengths and periods are invariant under both.
+        """
+        gens = self.free_generators
+        for word, image in self.iter_ball(radius):
+            if is_class_representative(word, gens):
+                yield word, image
+
+    def trace_valuation_sample(self, max_len: int) -> list[tuple[Word, Value]]:
+        """nu(trace) for every freely reduced word up to max_len, the identity first."""
+        ball = [(Word(), FracMatrix.identity(self.size)), *self.iter_ball(max_len)]
+        return [(word, self.valuation.of(image.trace())) for word, image in ball]
 
 
 # -- closed-point verdicts ---------------------------------------------------
@@ -222,7 +221,7 @@ class ClosedPoint:
 
 @dataclass(frozen=True)
 class NotClosedIntegral:
-    generator_valuations: dict[str, Fraction]
+    generator_valuations: dict[str, int]
 
     kind = "not_closed_integral"
 
@@ -237,7 +236,7 @@ class UnknownVerdict:
 Verdict = ClosedPoint | NotClosedIntegral | UnknownVerdict
 
 
-def integrality_certificate(rep: RepTable) -> dict[str, Fraction] | None:
+def integrality_certificate(rep: RepTable) -> dict[str, int] | None:
     """Min entry valuation per generator if all are >= 0, else None.
 
     Entries in the valuation ring are closed under products, and a
@@ -247,7 +246,7 @@ def integrality_certificate(rep: RepTable) -> dict[str, Fraction] | None:
     height 0, forcing every root valuation to 0 and every translation
     length to vanish.
     """
-    cert: dict[str, Fraction] = {}
+    cert: dict[str, int] = {}
     for name, m in rep.images.items():
         worst = None
         for row in m.entries:
@@ -257,7 +256,7 @@ def integrality_certificate(rep: RepTable) -> dict[str, Fraction] | None:
                 v = rep.valuation.of(e)
                 if worst is None or v < worst:
                     worst = v
-        worst = Fraction(0) if worst is None else worst
+        worst = 0 if worst is None else worst
         if worst < 0:
             return None
         cert[name] = worst
@@ -279,23 +278,16 @@ def closed_point_verdict(
     cert = integrality_certificate(rep)
     if cert is not None:
         return NotClosedIntegral(cert)
-    for word, image in _class_representatives(rep, radius):
+    for word, image in rep.class_representatives(radius):
         length = translation_length(image, rep.valuation, NORM_SUM)
         if length > 0:
             return ClosedPoint(word, length)
     return UnknownVerdict(radius)
 
 
-def _class_representatives(rep: RepTable, radius: int) -> Iterator[tuple[Word, FracMatrix]]:
-    gens = rep.free_generators
-    for word, image in rep.iter_ball(radius):
-        if is_class_representative(word, gens):
-            yield word, image
-
-
 def sweep_translation_lengths(rep: RepTable, radius: int) -> list[tuple[Word, Fraction]]:
     """Translation length per conjugacy-class representative up to radius."""
     return [
         (w, translation_length(image, rep.valuation, NORM_SUM))
-        for w, image in _class_representatives(rep, radius)
+        for w, image in rep.class_representatives(radius)
     ]

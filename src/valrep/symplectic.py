@@ -277,12 +277,6 @@ def maslov_with_radical(
     return pos - neg, zeros
 
 
-def is_maximal_triple(
-    l1: Lagrangian, l2: Lagrangian, l3: Lagrangian, order: OrderSpec | None = None
-) -> bool:
-    return maslov(l1, l2, l3, order) == l1.n
-
-
 def projection_matrix(onto: Lagrangian, parallel: Lagrangian) -> Matrix:
     """The 2n x 2n projection onto `onto` parallel to `parallel`."""
     if not onto.transverse(parallel):

@@ -2,9 +2,9 @@
 
 Two discrete valuations are supported, matching the two order families:
 the (X-a)-adic valuation nu_a (pole/zero order at a rational point) and
-the valuation at infinity with nu(X) = -1.  Values are Fractions, with a
-single INFINITY sentinel for the zero element, so that the (1/K)Z period
-arithmetic downstream stays exactly typed.
+the valuation at infinity with nu(X) = -1.  Both take integer values on
+Q(X), with a single INFINITY sentinel for the zero element; Newton
+polygon slopes, and so root valuations and periods, are Fractions.
 
 The Newton polygon of a polynomial over the valued field recovers the
 multiset of valuations of its roots without extracting any root: each
@@ -62,7 +62,7 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-Value = Fraction | _Infinity
+Value = int | _Infinity
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,8 @@ class Valuation:
         if p.is_zero():
             return INFINITY
         if self.kind == "adic":
-            return Fraction(p.multiplicity_at(self.a))
-        return Fraction(-p.degree)
+            return p.deflate_at(self.a)[0]
+        return -p.degree
 
     def spec_string(self) -> str:
         return f"adic:{self.a}" if self.kind == "adic" else "atinf"
@@ -122,11 +122,6 @@ class Valuation:
 
     def __str__(self) -> str:
         return self.spec_string()
-
-
-def nu(f, val: Valuation) -> Value:
-    """Functional spelling of val.of(f)."""
-    return val.of(f)
 
 
 def canonical_valuation(order: OrderSpec) -> Valuation:
@@ -181,7 +176,7 @@ class NewtonPolygonResult:
     `root_valuations` lists (valuation, multiplicity) pairs in
     nondecreasing valuation order; `zero_roots` counts roots equal to 0
     (valuation INFINITY), coming from vanishing low-order coefficients.
-    Total multiplicity equals the degree of the input.
+    The multiplicities and `zero_roots` sum to the degree of the input.
     """
 
     root_valuations: tuple[tuple[Fraction, int], ...]
@@ -193,10 +188,6 @@ class NewtonPolygonResult:
         for v, m in self.root_valuations:
             out.extend([v] * m)
         return out
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.root_valuations) + self.zero_roots
 
 
 def newton_polygon(p: Poly, val: Valuation) -> NewtonPolygonResult:
@@ -222,8 +213,8 @@ def newton_polygon(p: Poly, val: Valuation) -> NewtonPolygonResult:
     return NewtonPolygonResult(tuple(reversed(pairs)), zero_roots)
 
 
-def _lower_hull(points: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
-    hull: list[tuple[int, Fraction]] = []
+def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    hull: list[tuple[int, int]] = []
     for pt in points:
         while len(hull) >= 2 and _turns_right_or_straight(hull[-2], hull[-1], pt):
             hull.pop()

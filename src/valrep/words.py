@@ -52,10 +52,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word((g, -e) for g, e in reversed(self.letters))
 
-    def conjugate_by(self, h: "Word") -> "Word":
-        """h w h^-1."""
-        return h * self * h.inverse()
-
     def __repr__(self):
         return f"Word({format_word(self)!r})"
 
@@ -150,10 +146,8 @@ def words_of_length(generators: Sequence[str], length: int) -> Iterator[Word]:
     yield from extend([])
 
 
-def word_ball(generators: Sequence[str], radius: int, include_identity: bool = False) -> Iterator[Word]:
-    """All freely reduced words of length <= radius, in length-lex order."""
-    if include_identity:
-        yield Word()
+def word_ball(generators: Sequence[str], radius: int) -> Iterator[Word]:
+    """All freely reduced words of length 1 to radius, in length-lex order."""
     for length in range(1, radius + 1):
         yield from words_of_length(generators, length)
 

@@ -133,17 +133,17 @@ def subresultant_gcd(a, b):
             h = gpart**d // h ** (d - 1) if d > 1 else gpart
 
 
-def _oracle_ball(rep, radius, identity, letters, product, guard=None, generators=None):
+def _oracle_ball(rep, radius, identity, letters, product, guard=None):
     """(word, image) over the freely reduced ball, products shared level by level.
 
     Each extension is built as a freely reduced Word.  Length-lex order
-    over the generators (g before g^-1, generators in their listed order;
-    the free generators unless `generators` is given); `letters` maps
-    (name, +-1) to its image and `guard(word, image)` sees every product.
+    over the free generators (g before g^-1, generators in their listed
+    order); `letters` maps (name, +-1) to its image and `guard(word,
+    image)` sees every product.
     """
     from valrep.words import Word
 
-    gens = generators or rep.free_generators
+    gens = rep.free_generators
     rank = {letter: i for i, letter in enumerate((g, e) for g in gens for e in (1, -1))}
     level = {Word(): identity}
     for _ in range(radius):
@@ -443,6 +443,9 @@ class QuotientCrossratio:
         pairs = ((q2, q1), (q3, q4), (q1, q3), (q4, q2))
         return all(rank_transverse(a, b) for a, b in pairs)
 
+    def evaluate(self, quad):
+        return self.value(quad) if self.defined(quad) else None
+
     def value(self, quad):
         from valrep.currents import OrientationError
         from valrep.symplectic import TransversalityError, crossratio
@@ -453,11 +456,14 @@ class QuotientCrossratio:
         cr = crossratio(q2, q1, q3, q4)
         if cr == 0:
             raise TransversalityError("a numerator pair is not transverse")
-        return -self.valuation.of(cr) / 2
+        return Fraction(-self.valuation.of(cr), 2)
 
 
 def defined_value_axiom_check(cr, quintuples):
-    """crossratio_axiom_check through `cr.defined` and `cr.value` on every quadruple."""
+    """crossratio_axiom_check through `cr.evaluate` and `cr.value`, quadruple by quadruple.
+
+    No determinant table is shared, and each value is read again through `cr.value`.
+    """
     from valrep.currents import AxiomReport
 
     sym = add = 0
@@ -466,12 +472,12 @@ def defined_value_axiom_check(cr, quintuples):
         quads = [(x1, x2, x4, x5), (x1, x2, x3, x5), (x1, x3, x4, x5)]
         values = []
         for quad in quads:
-            if not cr.defined(quad):
+            if cr.evaluate(quad) is None:
                 values = None
                 break
             value = cr.value(quad)
             flipped = (quad[2], quad[3], quad[0], quad[1])
-            if cr.defined(flipped):
+            if cr.evaluate(flipped) is not None:
                 sym += 1
                 if cr.value(flipped) != value:
                     return AxiomReport(False, sym, add, f"symmetry fails on {quad}")
@@ -504,7 +510,7 @@ def with_degree_bound(rep, bound):
     )
 
 
-def frac_ball(rep, radius, generators=None, degree_bound=None):
+def frac_ball(rep, radius, degree_bound=None):
     """(word, FracMatrix) over the freely reduced ball, by `_oracle_ball`.
 
     The degree guard raises DegreeGuardExceeded at the first product whose
@@ -519,7 +525,7 @@ def frac_ball(rep, radius, generators=None, degree_bound=None):
             raise DegreeGuardExceeded(word, deg, degree_bound)
 
     identity = FracMatrix.identity(rep.size)
-    return _oracle_ball(rep, radius, identity, rep.letters, lambda a, b: a @ b, guard, generators)
+    return _oracle_ball(rep, radius, identity, rep.letters, lambda a, b: a @ b, guard)
 
 
 def qx_from_matrix(m):

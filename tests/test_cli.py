@@ -355,7 +355,7 @@ def test_adversarial_expressions_exit_2_at_once(name):
 
 BAD_IMAGES = {
     "image of 'a' is not symplectic": [["2", "0"], ["0", "1"]],
-    "symplectic matrices have even size": [["1", "0", "0"], ["0", "1", "0"]],
+    "image of 'a' is not square": [["1", "0", "0"], ["0", "1", "0"]],
 }
 
 

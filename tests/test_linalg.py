@@ -57,6 +57,21 @@ def test_rank_and_kernel():
         assert sum(c * x for c, x in zip(row, v)) == 0
 
 
+def test_elimination_over_z_is_exact():
+    # integer entries are eliminated over Q: Fractions, never floats
+    inverse = Matrix([[1, 2], [3, 4]]).inverse()
+    assert inverse == frac_matrix([[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
+    assert all(type(e) is Fraction for row in inverse.entries for e in row)
+    reduced, pivots = Matrix([[2, 3], [4, 7]]).rref()
+    assert pivots == [0, 1] and reduced == frac_matrix([[1, 0], [0, 1]])
+    assert all(type(e) is Fraction for row in reduced.entries for e in row)
+    kernel = Matrix([[2, 3, 5]]).kernel_basis()
+    assert kernel == [(Fraction(-3, 2), 1, 0), (Fraction(-5, 2), 0, 1)]
+    assert all(type(v[0]) is Fraction for v in kernel)
+    big = 3**40
+    assert Matrix([[1, big], [0, 1]]).inverse() == frac_matrix([[1, -big], [0, 1]])
+
+
 def test_char_poly_identity():
     eye = Matrix.identity(3)
     # (T - 1)^3

@@ -12,7 +12,6 @@ from valrep.symplectic import (
     Lagrangian,
     TransversalityError,
     crossratio,
-    is_maximal_triple,
     is_symplectic,
     maslov,
     maslov_with_radical,
@@ -121,12 +120,19 @@ def test_graph_needs_symmetric():
     assert g.transverse(Lagrangian.vertical(2))
 
 
+def test_span_of_integer_vectors_is_exact():
+    basis = Lagrangian.span(Matrix([[2], [3]])).basis
+    assert basis == frac_matrix([[1], [Fraction(3, 2)]])
+    assert all(type(e) is Fraction for row in basis.entries for e in row)
+    assert Lagrangian.span(Matrix([[2], [3]])) == Lagrangian.line(Fraction(3, 2))
+
+
 def test_maslov_standard_triple_is_plus_one():
     l1 = Lagrangian.line(0)
     l2 = Lagrangian.line(1)
     l3 = Lagrangian.line(None)
     assert maslov(l1, l2, l3) == 1
-    assert is_maximal_triple(l1, l2, l3)
+    assert maslov(l1, l2, l3) == l1.n  # maximal
 
 
 def test_maslov_degenerate_and_bounds():

@@ -4,7 +4,8 @@ Every import in a `src/valrep` module (apart from the package's own
 re-exports in `__init__.py`) is used by that module, no module imports
 sympy, which is a test-only dependency, every callable
 that `perfbench/tracer.py` times, listed in its `TARGETS`, still resolves,
-and every function, method and class defined in `src/valrep` is named
+the package `__init__.py` re-exports at least one traced function, and
+every function, method and class defined in `src/valrep` is named
 somewhere besides its definition, and only `RepTable.__init__` and
 `pants_rep` take a `degree_bound`.  perfbench is only read, never
 imported or edited.  One behavioural guard sits beside them:
@@ -96,6 +97,23 @@ def test_traced_targets_resolve():
         if not callable(obj):
             missing.append(f"{module}.{qualname}")
     assert not missing, f"tracer targets that no longer resolve: {missing}"
+
+
+def test_package_reexports_a_traced_function():
+    """`valrep/__init__.py` binds a module-level function among the tracer's TARGETS.
+
+    perfbench's selftest asserts that the tracer patches a binding owned
+    by the package itself, and only such a re-export gives it one.
+    """
+    tree = ast.parse((ROOT / "src" / "valrep" / "__init__.py").read_text())
+    bound = {
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    functions = {(module, qualname) for module, qualname, _ in tracer_targets() if "." not in qualname}
+    assert bound & functions, "valrep/__init__.py re-exports no traced function"
 
 
 def definitions(tree, prefix=""):
