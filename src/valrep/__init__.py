@@ -24,7 +24,6 @@ from .valuation import (
     INFINITY,
     NewtonPolygonResult,
     Valuation,
-    canonical_valuation,
     check_order_compatibility,
     newton_polygon,
 )

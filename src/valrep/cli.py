@@ -38,7 +38,7 @@ from .spectra import (
     translation_length,
 )
 from .symplectic import Lagrangian, crossratio, is_symplectic, maslov
-from .valuation import Valuation, canonical_valuation
+from .valuation import Valuation
 from .words import Word, parse_word
 
 SCHEMA = "valrep.report/1"
@@ -200,14 +200,14 @@ def read_valuation(spec: str) -> Valuation:
 
 
 def specs_from_flags(args, default_order=None) -> tuple[OrderSpec | None, Valuation]:
-    """--order (or its default) and --valuation, which defaults to the order's canonical one."""
+    """--order (or its default) and --valuation, which defaults to the one at the order's anchor."""
     spec = args.order or default_order
     order = read_order(spec) if spec else None
     if args.valuation:
         return order, read_valuation(args.valuation)
     if order is None:
         raise InputError("--valuation is required for this command")
-    return order, canonical_valuation(order)
+    return order, Valuation(order.a)
 
 
 def matrix_from_json(rows: list, what: str, max_degree: int) -> Matrix:
@@ -340,7 +340,7 @@ def cmd_pants_demo(args) -> dict:
         "images": {name: matrix_to_json(m) for name, m in sorted(rep.images.items())},
         "symplectic": {name: True for name in sorted(rep.images)},
         "relator": str(relator),
-        "relator_is_identity": rep.evaluate(relator) == rep.identity_matrix(),
+        "relator_is_identity": rep.image(relator).identity_sign() == 1,
         "trace_word": "(c1^-1 c3)^2",
         "trace": format_ratfunc(trace_value),
         "jordan_table": jordan_table,

@@ -253,11 +253,10 @@ def multicurve_certificate_ball(
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    gens = rep.free_generators
     class_periods: dict[tuple, Fraction] = {}
     periods = []
     for word, image in rep.iter_ball(max_len):
-        key = conjugacy_key(word, gens)
+        key = conjugacy_key(word, rep.letter_index)
         if key not in class_periods:
             class_periods[key] = translation_length(image, rep.valuation, NORM_SUM)
         periods.append((word, class_periods[key]))
@@ -284,12 +283,11 @@ def systole_sweep(
 ) -> SystoleReport:
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    gens = rep.free_generators
     best = None
     witness = None
     swept = 0
     for word, image in rep.class_representatives(radius):
-        if any(is_power_of_class(word, b, gens) for b in boundary_words):
+        if any(is_power_of_class(word, b, rep.letter_index) for b in boundary_words):
             continue
         swept += 1
         value = translation_length(image, rep.valuation, NORM_SUM)

@@ -8,14 +8,17 @@ structural, and every operation on it is Z[X] arithmetic with the one
 them once; Q[X] appears again only in `monic_form`, the display form
 with a monic denominator that `format_ratfunc` prints.
 
-The four non-Archimedean orders on Q(X) are anchored at a rational point
-a (from below or above) or at one of the two infinities.  Signs under an
-order are decided by exact deflation: factor out the largest power of
-(X - a) and evaluate the cofactor at a; no numeric evaluation is ever
-involved.
+The four non-Archimedean orders on Q(X) are an anchor and a side: a
+rational point a or infinity, approached from above (side +1) or below
+(side -1).  One sign rule covers all four: write f = (X - a)^k g with
+g(a) != 0, or read k = deg num - deg den and the leading coefficients at
+infinity; the sign is that of g(a) (of the leading ratio), times (-1)^k
+on side -1.  The deflation is exact; no numeric evaluation is ever
+involved.  `SPEC_HEADS` is the one table of spec heads ("aplus:A",
+"plusinf", ... and the valuation heads "adic:A", "atinf"), read both ways.
 
-Under any of these orders Q(X) is non-Archimedean: at the order a_+ the
-element 1/(X - a) is larger than every rational constant.
+Under any of these orders Q(X) is non-Archimedean: side / (X - a), or
+side X at infinity, is larger than every rational constant.
 """
 
 from __future__ import annotations
@@ -275,107 +278,111 @@ def format_ratfunc(f: RatFunc) -> str:
 
 @dataclass(frozen=True)
 class OrderSpec:
-    """One of the four non-Archimedean orders on Q(X).
+    """One of the four non-Archimedean orders on Q(X): an anchor and a side.
 
-    kind is "a_plus" or "a_minus" (anchored just above/below the rational
-    point `a`) or "plus_inf" / "minus_inf".  Anchors are restricted to
-    rational points.
+    The anchor `a` is a rational point, or None for infinity; `side` is +1
+    for the order just above the anchor (at +inf when a is None) and -1
+    for the one just below it (at -inf).  The side -1 order is the side +1
+    order pulled back along X -> 2a - X, or X -> -X at infinity.
     """
 
-    kind: str
-    a: Fraction | None = None
-
-    _KINDS = ("a_plus", "a_minus", "plus_inf", "minus_inf")
+    a: Fraction | None
+    side: int
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind in ("a_plus", "a_minus"):
-            if self.a is None:
-                raise ValueError(f"order {self.kind} needs a rational anchor")
+        if self.side not in (1, -1):
+            raise ValueError(f"an order's side is +1 or -1, not {self.side!r}")
+        if self.a is not None:
             object.__setattr__(self, "a", Fraction(self.a))
-        elif self.a is not None:
-            raise ValueError(f"order {self.kind} takes no anchor")
 
     @classmethod
     def at_plus(cls, a) -> "OrderSpec":
-        return cls("a_plus", Fraction(a))
+        return cls(Fraction(a), 1)
 
     @classmethod
     def at_minus(cls, a) -> "OrderSpec":
-        return cls("a_minus", Fraction(a))
+        return cls(Fraction(a), -1)
 
     @classmethod
     def plus_infinity(cls) -> "OrderSpec":
-        return cls("plus_inf")
+        return cls(None, 1)
 
     @classmethod
     def minus_infinity(cls) -> "OrderSpec":
-        return cls("minus_inf")
+        return cls(None, -1)
 
     # -- sign determination ------------------------------------------------
 
     def sign(self, f) -> int:
         """Sign of f in (Q(X), self): -1, 0 or +1.
 
-        At a_+ write f = (X-a)^k * g with g(a) != 0; the sign is the sign
-        of g(a).  At a_- an extra (-1)^k enters.  At +inf only the leading
-        coefficients matter; at -inf an extra parity factor (-1)^(deg num
-        - deg den) enters.
+        Above an anchor a, write f = (X-a)^k * g with g(a) != 0; the sign
+        is the sign of g(a).  At +inf it is the sign of the leading
+        coefficients' ratio, with k = deg num - deg den.  The side -1
+        order, a pullback by a reflection that sends X - a to -(X - a)
+        (or X to -X), multiplies that sign by (-1)^k.
         """
         f = RatFunc.coerce(f)
         if f.is_zero():
             return 0
-        if self.kind in ("a_plus", "a_minus"):
+        if self.a is None:
+            k = f.num.degree - f.den.degree
+            s = _sign_q(f.num.leading()) * _sign_q(f.den.leading())
+        else:
             k_num, g_num = f.num.deflate_at(self.a)
             k_den, g_den = f.den.deflate_at(self.a)
+            k = k_num - k_den
             s = _sign_q(g_num) * _sign_q(g_den)
-            if self.kind == "a_minus" and (k_num - k_den) % 2:
-                s = -s
-            return s
-        s = _sign_q(f.num.leading()) * _sign_q(f.den.leading())
-        if self.kind == "minus_inf" and (f.num.degree - f.den.degree) % 2:
-            s = -s
-        return s
+        return -s if self.side < 0 and k % 2 else s
 
     def compare(self, f, g) -> int:
         """Total-order comparison: -1 if f < g, 0 if f = g, +1 if f > g."""
         return self.sign(RatFunc.coerce(f) - RatFunc.coerce(g))
 
     def infinitely_large_element(self) -> RatFunc:
-        """A canonical element exceeding every rational constant in this order."""
-        if self.kind == "a_plus":
-            return ONE / (X - self.a)
-        if self.kind == "a_minus":
-            return ONE / (RatFunc.coerce(self.a) - X)
-        if self.kind == "plus_inf":
-            return X
-        return -X
+        """A canonical element exceeding every rational constant: side X, or side / (X - a)."""
+        if self.a is None:
+            return self.side * X
+        return self.side / (X - self.a)
 
     # -- identification ------------------------------------------------------
 
     def spec_string(self) -> str:
-        if self.kind == "a_plus":
-            return f"aplus:{self.a}"
-        if self.kind == "a_minus":
-            return f"aminus:{self.a}"
-        return "plusinf" if self.kind == "plus_inf" else "minusinf"
+        return format_spec(self.a, self.side)
 
     @classmethod
     def from_spec_string(cls, text: str) -> "OrderSpec":
-        head, a = split_spec(text)
-        if head == "aplus" and a is not None:
-            return cls.at_plus(a)
-        if head == "aminus" and a is not None:
-            return cls.at_minus(a)
-        if head == "plusinf" and a is None:
-            return cls.plus_infinity()
-        if head == "minusinf" and a is None:
-            return cls.minus_infinity()
-        raise ValueError(f"unknown order spec {text!r}")
+        return cls(*read_spec(text, "order"))
 
     def __str__(self) -> str:
         return self.spec_string()
+
+
+# spec head -> (takes an anchor, side); side 0 names the valuation at the anchor
+SPEC_HEADS = {
+    "aplus": (True, 1),
+    "aminus": (True, -1),
+    "plusinf": (False, 1),
+    "minusinf": (False, -1),
+    "adic": (True, 0),
+    "atinf": (False, 0),
+}
+_HEAD_OF = {entry: head for head, entry in SPEC_HEADS.items()}
+
+
+def read_spec(text: str, noun: str) -> tuple[Fraction | None, int]:
+    """(anchor, side) of an order spec, or (anchor, 0) of a valuation spec (`noun`)."""
+    head, a = split_spec(text)
+    anchored, side = SPEC_HEADS.get(head, (None, None))
+    if anchored != (a is not None) or (side == 0) != (noun == "valuation"):
+        raise ValueError(f"unknown {noun} spec {text!r}")
+    return a, side
+
+
+def format_spec(a: Fraction | None, side: int) -> str:
+    """"aplus:1/2" for (1/2, +1), "atinf" for (None, 0): the inverse of `read_spec`."""
+    head = _HEAD_OF[a is not None, side]
+    return head if a is None else f"{head}:{a}"
 
 
 def split_spec(text: str) -> tuple[str, Fraction | None]:

@@ -398,20 +398,26 @@ class FracMatrix:
 
         That numerator is `symplectic_rearrangement` of the packed
         entries, over the same D.  It is the inverse exactly when its
-        product with N is D^2 I: zero off the diagonal, and D^2 on it.
+        product with N, over D^2, is the identity.
         """
         size = len(self.packed)
         if size % 2 or any(len(row) != size for row in self.packed):
             return None
         packed = tuple(map(tuple, symplectic_rearrangement(self.packed)))
         inverse = FracMatrix(packed, self.den, self.width, self.bound, self.length)
-        check = inverse @ self
-        product = check.packed
-        if any(v for i, row in enumerate(product) for j, v in enumerate(row) if i != j):
-            return None
-        if any(unpack(row[i], check.width) != check.den for i, row in enumerate(product)):
-            return None
-        return inverse
+        return inverse if (inverse @ self).identity_sign() == 1 else None
+
+    def identity_sign(self) -> int:
+        """s if N/D = s I with s = 1 or -1, else 0.
+
+        Off the diagonal the packed entries must be zeros; on it, each
+        unpacked entry must equal s D.
+        """
+        packed = self.packed
+        if any(v for i, row in enumerate(packed) for j, v in enumerate(row) if i != j):
+            return 0
+        diagonal = {unpack(row[i], self.width) for i, row in enumerate(packed)}
+        return 1 if diagonal == {self.den} else -1 if diagonal == {-self.den} else 0
 
     def char_poly(self) -> Poly:
         """char_poly(N) over Z[X], by Berkowitz on the packed ints N(2^b').

@@ -13,7 +13,7 @@ from .fields import OrderSpec
 from .linalg import Matrix
 from .representation import GroupPresentation, RepTable
 from .symplectic import symplectic_inverse
-from .valuation import Valuation, canonical_valuation
+from .valuation import Valuation
 from .words import Word, parse_word
 
 C1_ENTRIES = [
@@ -50,7 +50,7 @@ def pants_rep(
         pants_presentation(),
         {"c1": c1, "c2": c2, "c3": c3},
         order,
-        valuation or canonical_valuation(order),
+        valuation or Valuation(order.a),
         free_generators=("c1", "c2"),
         degree_bound=degree_bound,
     )

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .fields import OrderSpec, RatFunc
+from .fields import ONE, OrderSpec, RatFunc
 from .linalg import FracMatrix, Matrix
 from .spectra import NORM_SUM, translation_length
 from .valuation import Valuation, Value
-from .words import Word, is_class_representative, letter_alphabet
+from .words import Word, is_class_representative, letter_index
 
 
 class RepresentationError(ValueError):
@@ -117,25 +117,27 @@ class RepTable:
         self.images = dict(images)
         self.order = order
         self.valuation = valuation
-        self.free_generators = tuple(free_generators or presentation.generators)
-        for g in self.free_generators:
+        if free_generators is None:
+            free_generators = presentation.generators
+        if not free_generators:
+            raise RepresentationError("free_generators is empty")
+        for i, g in enumerate(free_generators):
             if g not in presentation.generators:
                 raise RepresentationError(f"unknown free generator {g!r}")
-        eye = Matrix.identity(size, self._one())
+            if g in free_generators[:i]:
+                raise RepresentationError(f"free generator {g!r} is listed twice")
+        self.free_generators = tuple(free_generators)
+        self.letter_index = letter_index(self.free_generators)
         for rel in presentation.relators:
-            value = self.evaluate(rel)
-            if value != eye and value != eye.scale(RatFunc.coerce(-1)):
+            if not self.image(rel).identity_sign():
                 raise RepresentationError(f"relator {rel} does not evaluate to +-identity")
-
-    def _one(self) -> RatFunc:
-        return next(iter(self.images.values())).one()
 
     @property
     def size(self) -> int:
         return 2 * self.n
 
     def identity_matrix(self) -> Matrix:
-        return Matrix.identity(self.size, self._one())
+        return Matrix.identity(self.size, ONE)
 
     def image(self, word: Word) -> FracMatrix:
         """The fraction-free image of a word, under the degree guard."""
@@ -177,7 +179,7 @@ class RepTable:
         outgrows the bound.  Children join a level parent by parent, in
         alphabet order, so each level is already length-lex ordered.
         """
-        alphabet = letter_alphabet(self.free_generators)
+        alphabet = tuple(self.letter_index)
         level: dict[Word, FracMatrix] = {Word(): FracMatrix.identity(self.size)}
         for _ in range(radius):
             nxt: dict[Word, FracMatrix] = {}
@@ -197,9 +199,8 @@ class RepTable:
         Classes are conjugacy classes up to inversion, as translation
         lengths and periods are invariant under both.
         """
-        gens = self.free_generators
         for word, image in self.iter_ball(radius):
-            if is_class_representative(word, gens):
+            if is_class_representative(word, self.letter_index):
                 yield word, image
 
     def trace_valuation_sample(self, max_len: int) -> list[tuple[Word, Value]]:

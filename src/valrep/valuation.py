@@ -1,10 +1,12 @@
 """Order-compatible valuations on Q(X) and the Newton polygon engine.
 
-Two discrete valuations are supported, matching the two order families:
-the (X-a)-adic valuation nu_a (pole/zero order at a rational point) and
-the valuation at infinity with nu(X) = -1.  Both take integer values on
-Q(X), with a single INFINITY sentinel for the zero element; Newton
-polygon slopes, and so root valuations and periods, are Fractions.
+A valuation is an anchor, as an order is an anchor and a side: the
+(X-a)-adic valuation nu_a (pole/zero order at a rational point a) or, for
+the anchor None, the valuation at infinity with nu(X) = -1.  Both orders
+at an anchor are compatible with the valuation there.  Valuations take
+integer values on Q(X), with a single INFINITY sentinel for the zero
+element; Newton polygon slopes, and so root valuations and periods, are
+Fractions.
 
 The Newton polygon of a polynomial over the valued field recovers the
 multiset of valuations of its roots without extracting any root: each
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .fields import OrderSpec, RatFunc, split_spec
+from .fields import OrderSpec, RatFunc, format_spec, read_spec
 from .poly import Poly
 
 
@@ -67,30 +69,25 @@ Value = int | _Infinity
 
 @dataclass(frozen=True)
 class Valuation:
-    """Discrete valuation on Q(X): (X-a)-adic, or the one at infinity."""
+    """Discrete valuation on Q(X) at an anchor: (X-a)-adic, or at infinity (a = None).
 
-    kind: str
-    a: Fraction | None = None
+    Every order is compatible with the valuation at its anchor,
+    `Valuation(order.a)`.
+    """
 
-    _KINDS = ("adic", "at_inf")
+    a: Fraction | None
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown valuation kind {self.kind!r}")
-        if self.kind == "adic":
-            if self.a is None:
-                raise ValueError("adic valuation needs a rational anchor")
+        if self.a is not None:
             object.__setattr__(self, "a", Fraction(self.a))
-        elif self.a is not None:
-            raise ValueError("the valuation at infinity takes no anchor")
 
     @classmethod
     def adic(cls, a) -> "Valuation":
-        return cls("adic", Fraction(a))
+        return cls(Fraction(a))
 
     @classmethod
     def at_infinity(cls) -> "Valuation":
-        return cls("at_inf")
+        return cls(None)
 
     def of(self, f) -> Value:
         """nu(f); INFINITY exactly for f = 0.  A Poly is read in Q[X] or Z[X]."""
@@ -104,35 +101,17 @@ class Valuation:
     def _of_poly(self, p: Poly) -> Value:
         if p.is_zero():
             return INFINITY
-        if self.kind == "adic":
-            return p.deflate_at(self.a)[0]
-        return -p.degree
+        return -p.degree if self.a is None else p.deflate_at(self.a)[0]
 
     def spec_string(self) -> str:
-        return f"adic:{self.a}" if self.kind == "adic" else "atinf"
+        return format_spec(self.a, 0)
 
     @classmethod
     def from_spec_string(cls, text: str) -> "Valuation":
-        head, a = split_spec(text)
-        if head == "adic" and a is not None:
-            return cls.adic(a)
-        if head == "atinf" and a is None:
-            return cls.at_infinity()
-        raise ValueError(f"unknown valuation spec {text!r}")
+        return cls(read_spec(text, "valuation")[0])
 
     def __str__(self) -> str:
         return self.spec_string()
-
-
-def canonical_valuation(order: OrderSpec) -> Valuation:
-    """The order-compatible valuation paired with each order.
-
-    a_+ and a_- pair with the (X-a)-adic valuation; both infinities pair
-    with the valuation at infinity.
-    """
-    if order.kind in ("a_plus", "a_minus"):
-        return Valuation.adic(order.a)
-    return Valuation.at_infinity()
 
 
 @dataclass(frozen=True)

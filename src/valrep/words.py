@@ -125,6 +125,16 @@ def letter_alphabet(generators: Sequence[str]) -> list[Letter]:
     return out
 
 
+def letter_index(generators: Sequence[str]) -> dict[Letter, int]:
+    """Letters as indices into letter_alphabet: c -> 2i, c^-1 -> 2i + 1.
+
+    The inverse of a letter index k is k ^ 1, so a word's inverse is the
+    reversed tuple with every index flipped.  The key functions below
+    take this map, built once per generator tuple.
+    """
+    return {letter: i for i, letter in enumerate(letter_alphabet(generators))}
+
+
 def words_of_length(generators: Sequence[str], length: int) -> Iterator[Word]:
     """Freely reduced words of exactly this length, in lexicographic order."""
     alphabet = letter_alphabet(generators)
@@ -152,35 +162,25 @@ def word_ball(generators: Sequence[str], radius: int) -> Iterator[Word]:
         yield from words_of_length(generators, length)
 
 
-def conjugacy_key(word: Word, generators: Sequence[str]) -> tuple:
+def conjugacy_key(word: Word, index: dict[Letter, int]) -> tuple:
     """Canonical key of the conjugacy class of word and its inverse.
 
     Cyclic reduction followed by the lex-least rotation among the word's
     rotations and its inverse's rotations, all as tuples of letter indices
-    (see `_index_key`).
+    (see `letter_index`).
     """
-    key = _index_key(word, generators)
+    key = tuple(index[letter] for letter in word.letters)
     while len(key) >= 2 and key[0] == key[-1] ^ 1:
         key = key[1:-1]
     return min(_rotations(key), default=())
 
 
-def is_class_representative(word: Word, generators: Sequence[str]) -> bool:
+def is_class_representative(word: Word, index: dict[Letter, int]) -> bool:
     """True when `word` is the length-lex first member of its class."""
-    key = _index_key(word, generators)
+    key = tuple(index[letter] for letter in word.letters)
     if len(key) >= 2 and key[0] == key[-1] ^ 1:
         return False  # not cyclically reduced
     return not any(rot < key for rot in _rotations(key))
-
-
-def _index_key(word: Word, generators: Sequence[str]) -> tuple[int, ...]:
-    """Letters as indices into letter_alphabet: c -> 2i, c^-1 -> 2i + 1.
-
-    The inverse of a letter index k is k ^ 1, so a word's inverse is the
-    reversed tuple with every index flipped.
-    """
-    index = {letter: i for i, letter in enumerate(letter_alphabet(generators))}
-    return tuple(index[l] for l in word.letters)
 
 
 def _rotations(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -191,16 +191,16 @@ def _rotations(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield k[i:] + k[:i]
 
 
-def is_power_of_class(word: Word, base: Word, generators: Sequence[str]) -> bool:
+def is_power_of_class(word: Word, base: Word, index: dict[Letter, int]) -> bool:
     """Is `word` conjugate to a power k >= 1 of `base` (or of its inverse)?
 
     The key of a cyclically reduced base's k-th power is its key repeated
     k times, so the keys decide it; an empty base matches only an empty
-    word's class.  A base naming a letter outside `generators` is no match.
+    word's class.  A base naming a letter outside `index` is no match.
     """
-    if any(name not in generators for name, _ in base.letters):
+    if any(letter not in index for letter in base.letters):
         return False
-    base_key, key = conjugacy_key(base, generators), conjugacy_key(word, generators)
+    base_key, key = conjugacy_key(base, index), conjugacy_key(word, index)
     if not base_key:
         return not key
     k, rest = divmod(len(key), len(base_key))

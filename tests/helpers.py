@@ -355,6 +355,35 @@ def gaussian_det(m):
     return det
 
 
+def four_way_sign(order, f):
+    """OrderSpec.sign as four cases, one per order: a_+, a_-, +inf and -inf.
+
+    a_+: f = (X-a)^k g with g(a) != 0 has the sign of g(a); a_-: times
+    (-1)^k.  +inf: the sign of the leading coefficients' ratio; -inf:
+    times (-1)^(deg num - deg den).
+    """
+    kind = {(True, 1): "a_plus", (True, -1): "a_minus", (False, 1): "plus_inf",
+            (False, -1): "minus_inf"}[order.a is not None, order.side]
+    f = RatFunc.coerce(f)
+    if f.is_zero():
+        return 0
+
+    def sign(c):
+        return (c > 0) - (c < 0)
+
+    if kind in ("a_plus", "a_minus"):
+        k_num, g_num = f.num.deflate_at(order.a)
+        k_den, g_den = f.den.deflate_at(order.a)
+        s = sign(g_num) * sign(g_den)
+        if kind == "a_minus" and (k_num - k_den) % 2:
+            s = -s
+        return s
+    s = sign(f.num.leading()) * sign(f.den.leading())
+    if kind == "minus_inf" and (f.num.degree - f.den.degree) % 2:
+        s = -s
+    return s
+
+
 def gram_signature(sym, order=None):
     """(positives, negatives, zeros) by congruence, updating whole rows and columns.
 

@@ -506,6 +506,8 @@ MALFORMED_INPUTS = {
     "relators [5]": (["closed-point"], _with(REP_A, ("presentation", "relators"), [5])),
     "generators 5": (["closed-point"], _with(REP_A, ("presentation", "generators"), 5)),
     "free_generators 5": (["closed-point"], _with(REP_A, ("free_generators",), 5)),
+    "free_generators []": (["closed-point"], _with(REP_A, ("free_generators",), [])),
+    "free_generators [a, a]": (["closed-point"], _with(REP_A, ("free_generators",), ["a", "a"])),
     "generators [[1]]": (["closed-point"], _with(REP_A, ("presentation", "generators"), [[1]])),
     "labels [[1]]": (
         ["maximality"], {"representation": REP_A, "framing": _with(FRAMING_A, ("labels",), [[1]])}

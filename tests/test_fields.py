@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from valrep.fields import ONE, OrderSpec, RatFunc, X, format_ratfunc, monic_form
+from valrep.fields import ONE, SPEC_HEADS, OrderSpec, RatFunc, X, format_ratfunc, monic_form
 from valrep.poly import Poly, gcd
+from valrep.valuation import Valuation
 
-from helpers import random_ratfunc
+from helpers import four_way_sign, random_ratfunc
 
 ALL_ORDERS = [
     OrderSpec.at_plus(0),
@@ -116,7 +117,9 @@ def test_pow_matches_repeated_products(num, den, k):
     assert (power.num, power.den) == (expected.num, expected.den)
 
 
-@pytest.mark.parametrize("spec", ["aplus:1/0", "aminus:-3/0", 7, None, ["aplus:0"]])
+@pytest.mark.parametrize(
+    "spec", ["aplus:1/0", "aminus:-3/0", 7, None, ["aplus:0"], "aplus", "plusinf:1", "adic:0"]
+)
 def test_order_spec_rejects_zero_denominators_and_non_strings(spec):
     with pytest.raises(ValueError):
         OrderSpec.from_spec_string(spec)
@@ -179,6 +182,51 @@ def test_ordered_field_axioms(data):
     assert order.compare(x, y) == -order.compare(y, x)
     if order.compare(x, y) <= 0 and order.compare(y, z) <= 0:
         assert order.compare(x, z) <= 0
+
+
+@st.composite
+def factored_elements(draw, order):
+    """(X - a)^j p / ((X - a)^k q) at an anchor a; at infinity, deg p and deg q match or differ."""
+    def poly(degree):
+        lead = draw(st.builds(Fraction, small.filter(bool), st.integers(1, 3)))
+        return Poly(draw(st.lists(q_coeffs, min_size=degree, max_size=degree)) + [lead])
+
+    dn = draw(st.integers(0, 4))
+    num, den = poly(dn), poly(draw(st.one_of(st.just(dn), st.integers(0, 4))))
+    if order.a is not None:
+        factor = Poly((-order.a, Fraction(1)))
+        num = num * factor ** draw(st.integers(0, 3))
+        den = den * factor ** draw(st.integers(0, 3))
+    return RatFunc(num, den)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_one_sign_rule_matches_four_way_sign(data):
+    order = data.draw(orders)
+    f = data.draw(factored_elements(order))
+    assert order.sign(f) == four_way_sign(order, f)
+    assert order.sign(-f) == four_way_sign(order, -f)
+
+
+SPEC_CONSTRUCTORS = {
+    "aplus": OrderSpec.at_plus,
+    "aminus": OrderSpec.at_minus,
+    "plusinf": lambda _: OrderSpec.plus_infinity(),
+    "minusinf": lambda _: OrderSpec.minus_infinity(),
+    "adic": Valuation.adic,
+    "atinf": lambda _: Valuation.at_infinity(),
+}
+
+
+@pytest.mark.parametrize("head", sorted(SPEC_HEADS))
+def test_spec_heads_round_trip(head):
+    anchored, side = SPEC_HEADS[head]
+    for a in ("0", "-3/2", "7") if anchored else (None,):
+        text = f"{head}:{a}" if anchored else head
+        parsed = (Valuation if side == 0 else OrderSpec).from_spec_string(text)
+        assert parsed == SPEC_CONSTRUCTORS[head](a and Fraction(a))
+        assert parsed.spec_string() == str(parsed) == text
 
 
 @pytest.mark.parametrize("order", ALL_ORDERS)

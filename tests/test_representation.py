@@ -165,6 +165,18 @@ def three_generator_rep(free_generators=None):
     return RepTable(GroupPresentation(("a", "b", "c"), ()), images, ORDER0, ADIC0, free_generators)
 
 
+@pytest.mark.parametrize(
+    "free_generators,message",
+    [((), "free_generators is empty"), (("a", "c", "a"), "free generator 'a' is listed twice"),
+     (("a", "d"), "unknown free generator 'd'")],
+)
+def test_free_generators_are_validated(free_generators, message):
+    with pytest.raises(RepresentationError, match=message):
+        three_generator_rep(free_generators)
+    assert three_generator_rep().free_generators == ("a", "b", "c")
+    assert pants_rep(ORDER0).free_generators == ("c1", "c2")
+
+
 def _sweep(ball):
     """The (letters, image) sequence, or the word, degree and bound where the guard fired."""
     out = []

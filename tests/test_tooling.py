@@ -7,10 +7,12 @@ that `perfbench/tracer.py` times, listed in its `TARGETS`, still resolves,
 the package `__init__.py` re-exports at least one traced function, and
 every function, method and class defined in `src/valrep` is named
 somewhere besides its definition, and only `RepTable.__init__` and
-`pants_rep` take a `degree_bound`.  perfbench is only read, never
-imported or edited.  One behavioural guard sits beside them:
-`symplectic.signature` stays division-free, so it needs no division
-over Q(X) and is exact over the integers.
+`pants_rep` take a `degree_bound`, and the CLI's --order and
+--valuation help strings list exactly the spec heads `fields.SPEC_HEADS`
+accepts.  perfbench is only read, never imported or edited.  One
+behavioural guard sits beside them: `symplectic.signature` stays
+division-free, so it needs no division over Q(X) and is exact over the
+integers.
 """
 
 import ast
@@ -175,6 +177,36 @@ def test_cli_reads_each_spec_kind_in_one_function():
     assert all(callers.values()), f"a spec kind is never read: {callers}"
     spread = {kind: sorted(names) for kind, names in callers.items() if len(names) > 1}
     assert not spread, f"spec readers called from several functions: {spread}"
+
+
+def test_cli_spec_help_lists_the_spec_table():
+    """The --order and --valuation help strings name exactly the heads of `SPEC_HEADS`.
+
+    Each listed form parses, with A = 0 where it takes an anchor, and its
+    spec_string gives the same text back.
+    """
+    from valrep.fields import SPEC_HEADS, OrderSpec
+    from valrep.valuation import Valuation
+
+    helps = {}
+    for node in ast.walk(ast.parse((ROOT / "src" / "valrep" / "cli.py").read_text())):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "add_argument"
+            and node.args
+            and getattr(node.args[0], "value", None) in ("--order", "--valuation")
+        ):
+            helps[node.args[0].value] = next(k.value.value for k in node.keywords if k.arg == "help")
+    listed = {}
+    for flag, spec in (("--order", OrderSpec), ("--valuation", Valuation)):
+        for form in helps[flag].split(" | "):
+            head, _, anchor = form.partition(":")
+            assert anchor in ("", "A") and head not in listed, form
+            listed[head] = (anchor == "A", flag == "--valuation")
+            text = form.replace(":A", ":0")
+            assert spec.from_spec_string(text).spec_string() == text
+    table = {head: (anchored, side == 0) for head, (anchored, side) in SPEC_HEADS.items()}
+    assert listed == table
 
 
 def test_only_the_representation_takes_a_degree_bound():

@@ -12,7 +12,6 @@ from valrep.valuation import (
     INFINITY,
     CompatibilityReport,
     Valuation,
-    canonical_valuation,
     check_order_compatibility,
     newton_polygon,
 )
@@ -58,7 +57,7 @@ def test_canonical_pairings_are_compatible():
     rng = random.Random(5)
     samples = [random_ratfunc(rng) for _ in range(130)] + [ONE / X, X, X ** 2, RatFunc.coerce(3)]
     for order in (OrderSpec.at_plus(0), OrderSpec.at_minus(0), OrderSpec.plus_infinity(), OrderSpec.minus_infinity()):
-        val = canonical_valuation(order)
+        val = Valuation(order.a)
         report = check_order_compatibility(order, val, samples)
         assert report.compatible, report.witness
         assert report.pairs_checked >= 1000
@@ -184,7 +183,9 @@ def _float_roots(coeffs_low_first):
         return mpmath.polyroots(list(reversed(coeffs_low_first)), maxsteps=200, extraprec=200)
 
 
-@pytest.mark.parametrize("spec", ["adic:1/0", "adic:-2/0", 5, None, {"adic": 0}])
+@pytest.mark.parametrize(
+    "spec", ["adic:1/0", "adic:-2/0", 5, None, {"adic": 0}, "adic", "atinf:0", "aplus:0"]
+)
 def test_valuation_spec_rejects_zero_denominators_and_non_strings(spec):
     with pytest.raises(ValueError):
         Valuation.from_spec_string(spec)

@@ -9,6 +9,7 @@ from valrep.words import (
     format_word,
     is_class_representative,
     is_power_of_class,
+    letter_index,
     parse_word,
     word_ball,
     words_of_length,
@@ -57,27 +58,28 @@ def test_ball_is_length_lex_ordered():
 
 
 def test_conjugacy_key_invariance():
-    gens = ("c1", "c2")
+    index = letter_index(("c1", "c2"))
     w = parse_word("c1 c2 c1^-1 c2^-1")
     h = parse_word("c2 c1")
-    assert conjugacy_key(w, gens) == conjugacy_key(h * w * h.inverse(), gens)
-    assert conjugacy_key(w, gens) == conjugacy_key(w.inverse(), gens)
+    assert conjugacy_key(w, index) == conjugacy_key(h * w * h.inverse(), index)
+    assert conjugacy_key(w, index) == conjugacy_key(w.inverse(), index)
 
 
 def test_class_representative_unique_per_class():
     gens = ("c1", "c2")
-    reps = [w for w in words_of_length(gens, 3) if is_class_representative(w, gens)]
-    keys = [conjugacy_key(w, gens) for w in reps]
+    index = letter_index(gens)
+    reps = [w for w in words_of_length(gens, 3) if is_class_representative(w, index)]
+    keys = [conjugacy_key(w, index) for w in reps]
     assert len(keys) == len(set(keys))
 
 
 def test_power_of_class_detection():
-    gens = ("c1", "c2")
+    index = letter_index(("c1", "c2"))
     boundary = parse_word("c2 c1")
-    assert is_power_of_class(parse_word("c2 c1 c2 c1"), boundary, gens)
-    assert is_power_of_class(parse_word("c1 c2"), boundary, gens)  # rotation
-    assert is_power_of_class(parse_word("c1^-1 c2^-1"), boundary, gens)  # inverse
-    assert not is_power_of_class(parse_word("c1 c2^-1"), boundary, gens)
+    assert is_power_of_class(parse_word("c2 c1 c2 c1"), boundary, index)
+    assert is_power_of_class(parse_word("c1 c2"), boundary, index)  # rotation
+    assert is_power_of_class(parse_word("c1^-1 c2^-1"), boundary, index)  # inverse
+    assert not is_power_of_class(parse_word("c1 c2^-1"), boundary, index)
 
 
 def test_parse_rejects_garbage():
@@ -98,10 +100,11 @@ def test_parse_caps_word_length_before_expanding():
 @pytest.mark.parametrize("generators", [("a", "b"), ("a", "b", "c")])
 def test_index_tuple_keys_match_rotation_words(generators):
     # every freely reduced word up to length 7, identity included
+    index = letter_index(generators)
     for w in [Word(), *word_ball(generators, 7)]:
         key = rotation_conjugacy_key(w, generators)
-        assert conjugacy_key(w, generators) == key, w
-        assert is_class_representative(w, generators) == (
+        assert conjugacy_key(w, index) == key, w
+        assert is_class_representative(w, index) == (
             rotation_is_class_representative(w, generators, key)
         ), w
 
@@ -112,9 +115,10 @@ POWER_BASES = ["", "c1", "c2 c1", "c1 c2^-1", "c1^2", "c2 c1 c2^-1", "c1 c2 c1^-
 def test_power_of_class_keys_match_rotation_words():
     # every freely reduced word up to length 6, identity included, against each base
     gens = ("c1", "c2")
+    index = letter_index(gens)
     bases = [parse_word(text) for text in POWER_BASES]
     for w in [Word(), *word_ball(gens, 6)]:
         for base in bases:
-            assert is_power_of_class(w, base, gens) == rotation_is_power_of_class(w, base, gens), (
+            assert is_power_of_class(w, base, index) == rotation_is_power_of_class(w, base, gens), (
                 w, base,
             )
