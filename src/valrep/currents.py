@@ -51,7 +51,7 @@ from .representation import RepTable
 from .spectra import NORM_SUM, translation_length
 from .symplectic import TransversalityError, pairing_matrix
 from .valuation import INFINITY, Valuation, Value
-from .words import Word, conjugacy_key, is_power_of_class
+from .words import Word, conjugacy_key, is_key_power
 
 Label = Hashable
 
@@ -283,11 +283,15 @@ def systole_sweep(
 ) -> SystoleReport:
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    index = rep.letter_index
+    # keyed once per sweep; as in is_power_of_class, a base outside index matches nothing
+    bases = [conjugacy_key(b, index) for b in boundary_words if set(b.letters) <= index.keys()]
     best = None
     witness = None
     swept = 0
     for word, image in rep.class_representatives(radius):
-        if any(is_power_of_class(word, b, rep.letter_index) for b in boundary_words):
+        key = conjugacy_key(word, index)
+        if any(is_key_power(key, base) for base in bases):
             continue
         swept += 1
         value = translation_length(image, rep.valuation, NORM_SUM)

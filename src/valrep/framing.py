@@ -145,9 +145,8 @@ def attracting_lagrangian(g: Matrix, val: Valuation) -> Lagrangian:
         raise SlopeTieError(
             f"no strict valuation gap: values {gap_low} and {gap_high} tie at position n"
         )
-    roots, _ = linear_eigenvalues(char_poly)
-    den = RatFunc(image.den)
-    eigenvalues = sorted(((mu / den, m) for mu, m in roots), key=lambda rm: (str(rm[0]), rm[1]))
+    roots = [(RatFunc(a, image.den), m) for a, m in linear_eigenvalues(char_poly)]
+    eigenvalues = sorted(roots, key=lambda rm: (str(rm[0]), rm[1]))
     dominant = [(root, mult) for root, mult in eigenvalues if val.of(root) <= gap_low]
     covered = sum(m for _, m in dominant)
     if covered != n:

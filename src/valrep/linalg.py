@@ -30,12 +30,13 @@ coefficient is +-e_k(N), bounded by B = max_k C(n,k) k! L^(k-1) M^k
 (L a bound on the coefficient count, M on |coefficient|), and b' is the
 least doubling of b with 2B < 2^b'.  Evaluation at 2^b' is a ring map,
 so no intermediate value needs a bound.  A product's bounds come from
-its factors' bounds and so compound along a chain of products: before
-a product or a char poly widens, the bounds are read again from the
-unpacked entries, and the width follows those.  A symplectic N/D is
-inverted with no arithmetic: J^-1 t(N) J / D is a signed rearrangement
-of the packed entries (`symplectic_rearrangement`, which works on any
-grid of entries), confirmed by one packed product equal to D^2 I.
+its factors' bounds and so compound along a chain of products: a char
+poly always reads M and L from the unpacked entries, and a product
+reads them again before it widens, so the width follows those.  A
+symplectic N/D is inverted with no arithmetic: J^-1 t(N) J / D is a
+signed rearrangement of the packed entries (`symplectic_rearrangement`,
+which works on any grid of entries), confirmed by one packed product
+equal to D^2 I.
 """
 
 from __future__ import annotations
@@ -318,7 +319,7 @@ class FracMatrix:
     Nothing is reduced: a product is (N1 @ N2) / (D1 * D2), computed as n^3
     int products and sums with no Poly built, and canonical RatFunc
     entries are built only by `to_matrix()` and `trace()`.  `num` unpacks
-    N on demand; `char_poly()` unpacks only the coefficients of char_poly(N).
+    N on demand; `char_poly()` unpacks N to measure its bounds.
     """
 
     __slots__ = ("packed", "den", "width", "bound", "length")
@@ -424,20 +425,18 @@ class FracMatrix:
 
         The T^(n-k) coefficient is (-1)^k e_k(N): C(n,k) principal minors
         of k! products of k entries, each product with coefficients at
-        most L^(k-1) M^k.  So b' is the least doubling of the width with
-        2B < 2^b', B = max_k C(n,k) k! L^(k-1) M^k.
+        most L^(k-1) M^k.  M and L are measured on the unpacked entries,
+        and b' is the least doubling of the width with 2B < 2^b',
+        B = max_k C(n,k) k! L^(k-1) M^k; the entries are repacked only if
+        b' is wider.
         """
-        m = self._measured() if self._char_poly_width() > self.width else self
-        width = m._char_poly_width()
+        m = self._measured()
+        n = len(m.packed)
+        bound = max(perm(n, k) * m.length ** (k - 1) * m.bound**k for k in range(1, n + 1))
+        width = _width(bound, m.width)
         coeffs = Matrix(m._at_width(width).packed).char_poly().coeffs
         # int(): on an all-zero matrix the leading 1 is Matrix.one()'s Fraction(1)
         return Poly(unpack(int(c), width) for c in coeffs)
-
-    def _char_poly_width(self) -> int:
-        """The width that holds every coefficient of char_poly(N), by the bound above."""
-        n = len(self.packed)
-        bound = max(perm(n, k) * self.length ** (k - 1) * self.bound**k for k in range(1, n + 1))
-        return _width(bound, self.width)
 
     def _measured(self) -> "FracMatrix":
         """The same matrix with the real bound and length of its entries."""

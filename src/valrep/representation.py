@@ -44,6 +44,9 @@ from .valuation import Valuation, Value
 from .words import Word, is_class_representative, letter_index
 
 
+MAX_BALL_WORDS = 2**16  # the largest word ball a sweep builds: radius 9 over two generators
+
+
 class RepresentationError(ValueError):
     pass
 
@@ -178,10 +181,20 @@ class RepTable:
         with DegreeGuardExceeded when any intermediate entry, reduced,
         outgrows the bound.  Children join a level parent by parent, in
         alphabet order, so each level is already length-lex ordered.
+        Before it builds a level, the sweep raises ValueError if the ball
+        through that level would hold more than MAX_BALL_WORDS words; a
+        caller that stops early never meets the limit.
         """
         alphabet = tuple(self.letter_index)
         level: dict[Word, FracMatrix] = {Word(): FracMatrix.identity(self.size)}
-        for _ in range(radius):
+        words = 0
+        for length in range(1, radius + 1):
+            words += len(level) * (len(alphabet) - (length > 1))  # no child cancels a last letter
+            if words > MAX_BALL_WORDS:
+                raise ValueError(
+                    f"word ball of radius {radius} exceeds {MAX_BALL_WORDS} words: "
+                    f"length {length} brings it to {words}"
+                )
             nxt: dict[Word, FracMatrix] = {}
             for word, image in level.items():
                 last = word.letters[-1] if word.letters else None

@@ -3,17 +3,16 @@
 A matrix over Q(X) is cleared to N/D over Z[X] (`FracMatrix`), and its
 eigenvalues are those of N divided by D.  char_poly(N) is monic in
 Z[X][T], and Z[X] is integrally closed, so each of its roots in Q(X)
-lies in Z[X] and divides its lowest nonzero coefficient.  One Kronecker
-evaluation X = 2^w, wide enough for every such divisor (Mignotte's
-bound), turns these roots into integer roots of a polynomial in Z[T];
-an l-adic root finder (Hensel lifting) finds those, and each candidate
-is read back into Z[X] and confirmed exactly there.  Roots outside
-Q(X) are reported as a non-split count, never approximated.
+lies in Z[X] and divides its constant coefficient, nonzero for an
+invertible N.  One Kronecker evaluation X = 2^w, wide enough for every
+such divisor (Mignotte's bound), turns these roots into integer roots
+of a polynomial in Z[T]; an l-adic root finder (Hensel lifting) finds
+those, and each candidate is read back into Z[X] and confirmed exactly
+there.  Roots outside Q(X) are left out, never approximated.
 """
 
 from __future__ import annotations
 
-from .fields import ZERO, RatFunc
 from .poly import Poly, gcd, pack, unpack
 
 
@@ -21,47 +20,33 @@ class NonSplitError(ValueError):
     """The required eigenvalues do not all lie in Q(X)."""
 
 
-def linear_eigenvalues(p: Poly) -> tuple[list[tuple[RatFunc, int]], int]:
-    """Roots of p in Z[X][T] (coefficients integer Polys in X) that lie in Q(X).
+def linear_eigenvalues(p: Poly) -> list[tuple[Poly, int]]:
+    """The roots of p in Z[X] with their multiplicities, unsorted.
 
-    Returns (roots, nonsplit_degree): `roots` pairs each Q(X) root with
-    its multiplicity, sorted by (str, multiplicity); `nonsplit_degree`
-    counts the remaining roots, which live in proper extensions.
-
-    With m = deg_T p and lc its leading coefficient, p~_i = p_i lc^(m-1-i)
-    defines the monic p~(T) = lc^(m-1) p(T / lc), whose roots are lc times
-    those of p; being integral over Z[X], they lie in Z[X].  After the
-    root 0 (the power of T dividing p~) is split off, every root a divides
-    c = p~(0) != 0, so Mignotte's bound gives |a_j| <= 2^deg c ||c||_2 <
-    2^(w-1) for the width w of `_root_width`.  Completeness: evaluation at
-    X = 2^w is a ring map, so a(2^w) is an integer root of f = p~(2^w, T)
-    and of its square-free part s, and `unpack` reads a back from it.
-    `_integer_roots` finds every integer root of s: it lifts every root
-    of s mod a prime l at which all of them are simple, and at a simple
-    root the Hensel lift is unique.  Soundness: each candidate's
-    multiplicity is counted exactly in Z[X], by deflating p~ at it (the
-    number of successive T-derivatives of p~ vanishing there), and a
-    candidate of multiplicity 0 is dropped.
+    p is monic in T over Z[X], of T-degree >= 1 and with c = p(0) != 0, as
+    char_poly(N) is for an invertible N; any other p raises ValueError.
+    Each root a in Q(X) lies in Z[X] and divides c, so Mignotte's bound
+    gives |a_j| <= 2^deg c ||c||_2 < 2^(w-1) for `_root_width`'s w.
+    Completeness: evaluation at X = 2^w is a ring map, so a(2^w) is an
+    integer root of f = p(2^w, T) and of its square-free part s, which
+    `_integer_roots` finds all of (every root of s mod a prime l at which
+    all of them are simple has a unique Hensel lift), and `unpack` reads
+    a back.  Soundness: each candidate's multiplicity is counted exactly
+    in Z[X] by deflating p at it, and a candidate of multiplicity 0 is
+    dropped.
     """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    m = p.degree
-    lc = p.leading()
-    monic = Poly([c * lc ** (m - 1 - i) for i, c in enumerate(p.coeffs[:-1])] + [Poly((1,))])
-    zeros = next(i for i, c in enumerate(monic.coeffs) if c)
-    reduced = Poly(monic.coeffs[zeros:])
-    roots = [(ZERO, zeros)] if zeros else []
-    if reduced.degree > 0:
-        width = _root_width(reduced.coeffs[0])
-        f = Poly(pack(c, width) for c in reduced.coeffs)
-        _, squarefree, _ = gcd(f, _derivative(f))
-        for r in _integer_roots(squarefree):
-            a = unpack(r, width)
-            mult, _ = reduced.deflate_at(a)
-            if mult:
-                roots.append((RatFunc(a, lc), mult))
-    roots.sort(key=lambda rm: (str(rm[0]), rm[1]))
-    return roots, m - sum(mult for _, mult in roots)
+    if p.degree < 1 or p.leading() != 1 or not p.coeffs[0]:
+        raise ValueError("expected a monic polynomial of positive degree with p(0) != 0")
+    width = _root_width(p.coeffs[0])
+    f = Poly(pack(c, width) for c in p.coeffs)
+    _, squarefree, _ = gcd(f, _derivative(f))
+    roots = []
+    for r in _integer_roots(squarefree):
+        a = unpack(r, width)
+        mult, _ = p.deflate_at(a)
+        if mult:
+            roots.append((a, mult))
+    return roots
 
 
 def _root_width(c: Poly) -> int:

@@ -9,11 +9,12 @@ Jordan vector is its nonnegative half.  A word image arrives
 fraction-free, as a FracMatrix N/D; the polygon comes from char_poly(N)
 over Z[X] and nu(D), so no canonical Q(X) element is built on the way.
 char_poly(N) is Berkowitz's recursion on the Kronecker-packed ints
-N(2^b'), at a width b' that holds every coefficient of char_poly(N)
-(see linalg).
+N(2^b'), at a width b' measured to hold every coefficient of
+char_poly(N) (see linalg).
 
-Two norms aggregate a Jordan vector into a length: the Siegel-model sum
-of entries ("sum"), and the projective max-ratio spread ("spread").  The
+Two norms turn the valuation multiset into a length: the Siegel-model
+sum of the Jordan vector ("sum"), and the projective spread, max - min
+over the whole multiset, which needs no symmetry ("spread").  The
 orbit-point pseudodistance between g1 and g2 halves the polygon data of
 t(h) h with h = g1^{-1} g2, since Cartan values are square roots of the
 eigenvalues of t(h) h.  h and t(h) h are packed FracMatrix products.
@@ -72,46 +73,36 @@ def root_valuations(polygon: NewtonPolygonResult) -> list[Fraction]:
     return polygon.expanded()
 
 
-def jordan_valuation(
-    g: Matrix | FracMatrix, val: Valuation, mode: str = "symplectic"
-) -> tuple[Fraction, ...]:
+def jordan_valuation(g: Matrix | FracMatrix, val: Valuation) -> tuple[Fraction, ...]:
     """Jordan projection as -nu(eigenvalue) values, sorted nonincreasing.
 
-    Symplectic mode checks the +/- symmetry of the valuation multiset and
-    returns the nonnegative half (n entries for a 2n x 2n input).  Linear
-    mode returns all values; consumers treat them projectively.
+    The +/- symmetry of the valuation multiset is checked, and its
+    nonnegative half is returned (n entries for a 2n x 2n input).
     """
-    return jordan_from_polygon(char_poly_polygon(g, val), g.rows, mode)
+    return jordan_from_polygon(char_poly_polygon(g, val), g.rows)
 
 
-def jordan_from_polygon(
-    polygon: NewtonPolygonResult, size: int, mode: str = "symplectic"
-) -> tuple[Fraction, ...]:
+def jordan_from_polygon(polygon: NewtonPolygonResult, size: int) -> tuple[Fraction, ...]:
     """The Jordan projection of a size x size matrix with this char-poly polygon."""
     values = root_valuations(polygon)
-    slopes = sorted((-v for v in values), reverse=True)
-    if mode == "linear":
-        return tuple(slopes)
-    if mode != "symplectic":
-        raise ValueError(f"unknown mode {mode!r}")
     if size % 2:
-        raise ValueError("symplectic mode needs even size")
+        raise ValueError("symplectic matrices have even size")
     if sorted(values) != sorted(-v for v in values):
         raise NonSymplecticSpectrumError(
             "eigenvalue valuations are not symmetric under negation"
         )
-    return tuple(slopes[: size // 2])
+    return tuple(sorted((-v for v in values), reverse=True)[: size // 2])
 
 
 def translation_length(
     g: Matrix | FracMatrix, val: Valuation, norm: str = NORM_SUM
 ) -> Fraction:
-    """Length of g on the building: sum of the Jordan vector, or its spread."""
+    """Length of g on the building: sum of the Jordan vector, or max - min of all nu(eigenvalue)."""
     _check_norm(norm)
     if norm == NORM_SUM:
-        return sum(jordan_valuation(g, val, mode="symplectic"), Fraction(0))
-    slopes = jordan_valuation(g, val, mode="linear")
-    return slopes[0] - slopes[-1]
+        return sum(jordan_valuation(g, val), Fraction(0))
+    values = root_valuations(char_poly_polygon(g, val))
+    return max(values) - min(values)
 
 
 def building_pseudodistance(

@@ -194,13 +194,19 @@ def _rotations(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 def is_power_of_class(word: Word, base: Word, index: dict[Letter, int]) -> bool:
     """Is `word` conjugate to a power k >= 1 of `base` (or of its inverse)?
 
-    The key of a cyclically reduced base's k-th power is its key repeated
-    k times, so the keys decide it; an empty base matches only an empty
-    word's class.  A base naming a letter outside `index` is no match.
+    A base naming a letter outside `index` is no match.
     """
     if any(letter not in index for letter in base.letters):
         return False
-    base_key, key = conjugacy_key(base, index), conjugacy_key(word, index)
+    return is_key_power(conjugacy_key(word, index), conjugacy_key(base, index))
+
+
+def is_key_power(key: tuple, base_key: tuple) -> bool:
+    """Is `key` the conjugacy key of a power k >= 1 of the class keyed `base_key`?
+
+    The key of a cyclically reduced base's k-th power is its key repeated
+    k times; an empty base key matches only the empty key.
+    """
     if not base_key:
         return not key
     k, rest = divmod(len(key), len(base_key))

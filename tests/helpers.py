@@ -216,6 +216,20 @@ def ratfunc_translation_length(matrix, valuation):
     return sum(slopes[: matrix.rows // 2], Fraction(0))
 
 
+def ratfunc_spread_length(matrix, valuation):
+    """Spread translation length from the Q(X) char poly (Faddeev-LeVerrier).
+
+    The linear Jordan vector is every -nu(eigenvalue), nonincreasing,
+    with no symplectic check; the spread is its first entry minus its
+    last.
+    """
+    from valrep.valuation import newton_polygon
+
+    values = newton_polygon(faddeev_leverrier(matrix), valuation).expanded()
+    slopes = sorted((-v for v in values), reverse=True)
+    return slopes[0] - slopes[-1]
+
+
 @lru_cache(maxsize=4)
 def _qx_cartan_char_poly(g1, g2):
     h = g1.inverse() @ g2

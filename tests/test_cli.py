@@ -67,6 +67,13 @@ def test_translength_matrix_input():
     )
     report = run_cli("translength", "--json", payload, "--valuation", "adic:0")
     assert report["result"]["length"] == "1"
+    # the spread is max - min of the root valuations {1, -1}
+    spread = run_cli("translength", "--json", payload, "--valuation", "adic:0", "--norm", "spread")
+    assert strip_timing(spread) == {
+        "schema": "valrep.report/1",
+        "command": "translength",
+        "result": {"norm": "spread", "valuation": "adic:0", "length": "2"},
+    }
 
 
 def test_jordan_matrix_input():
@@ -276,6 +283,18 @@ def test_huge_exponent_is_rejected_at_once():
     assert "99999999" in report["error"]["message"] and "512" in report["error"]["message"]
 
 
+def test_word_ball_beyond_the_limit_exits_2():
+    # 2 (3^10 - 1) = 118,096 words through length 10: refused before that level is built
+    pants = '{"representation": "pants", "order": "aplus:0"}'
+    started = time.monotonic()
+    report = run_cli("multicurve", "--json", pants, "--maxlen", "30", expect=2)
+    assert time.monotonic() - started < 60
+    assert report["error"] == {
+        "code": "input",
+        "message": "word ball of radius 30 exceeds 65536 words: length 10 brings it to 118096",
+    }
+
+
 def test_degree_bound_admits_its_own_degree():
     payload = '{"matrix": [["X^512","0"],["0","X^-512"]]}'
     report = run_cli("translength", "--valuation", "adic:0", "--json", payload)
@@ -428,6 +447,14 @@ def test_symplectic_check_rejects_odd_size(capsys):
 
     identity_3 = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
     assert cli.main(["symplectic-check", "--json", json.dumps({"matrix": identity_3})]) == 2
+    assert capsys.readouterr().out == _error_report("symplectic matrices have even size")
+
+
+def test_jordan_rejects_odd_size(capsys):
+    from valrep import cli
+
+    payload = json.dumps({"matrix": [["X", "0", "0"], ["0", "1", "0"], ["0", "0", "1/X"]]})
+    assert cli.main(["jordan", "--json", payload, "--valuation", "adic:0"]) == 2
     assert capsys.readouterr().out == _error_report("symplectic matrices have even size")
 
 

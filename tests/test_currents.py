@@ -29,7 +29,7 @@ from valrep.pants import boundary_words, pants_rep
 from valrep.representation import GroupPresentation, RepTable
 from valrep.symplectic import Lagrangian, TransversalityError, symplectic_inverse
 from valrep.valuation import Valuation
-from valrep.words import Word, parse_word
+from valrep.words import Word, is_power_of_class, parse_word
 
 from test_symplectic import random_symplectic
 
@@ -287,6 +287,15 @@ def test_systole_sweep_pants():
     report = systole_sweep(rep, 3, boundary_words())
     assert report.value is not None and report.value > 0
     assert report.classes_swept > 0
+    # the sweep keys each boundary word once; it skips exactly the classes
+    # is_power_of_class matches, and c3, outside the free generators, matches none
+    bases = [*boundary_words(), parse_word("c3")]
+    kept = [
+        w
+        for w, _ in rep.class_representatives(3)
+        if not any(is_power_of_class(w, b, rep.letter_index) for b in bases)
+    ]
+    assert systole_sweep(rep, 3, bases).classes_swept == len(kept) == report.classes_swept
     # at a = 1 every word is integral: the sweep floor is 0
     flat = systole_sweep(pants_rep(OrderSpec.at_plus(1)), 2, boundary_words())
     assert flat.value == 0

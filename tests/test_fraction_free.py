@@ -38,6 +38,7 @@ from helpers import (
     qx_from_matrix,
     qx_pseudodistance,
     ratfunc_ball,
+    ratfunc_spread_length,
     ratfunc_translation_length,
     with_degree_bound,
 )
@@ -273,9 +274,13 @@ DIGIT_EDGES = [
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 6).flatmap(packed_square))
-def test_packed_char_poly_matches_poly_berkowitz(rows):
-    image = FracMatrix.from_polys(rows, ONE)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(packed_square(n), min_size=1, max_size=3)))
+def test_packed_char_poly_matches_poly_berkowitz(factors):
+    # a product carries a-priori bounds, so its char poly may keep the
+    # width or widen after measuring; a single matrix carries exact ones
+    image = FracMatrix.from_polys(factors[0], ONE)
+    for rows in factors[1:]:
+        image = image @ FracMatrix.from_polys(rows, Poly((3,)))
     packed = image.char_poly()
     assert packed == image.num.char_poly()
     assert all(type(c) is int for p in packed.coeffs for c in p.coeffs)
@@ -479,6 +484,18 @@ def test_pseudodistance_matches_qx_definition(g1, g2, symplectic):
             assert building_pseudodistance(g1, g2, val, norm) == (
                 qx_pseudodistance(g1, g2, val, norm)
             ), (val, norm)
+
+
+invertible_qx = square_matrices(qx_entries(), 4).filter(lambda m: m.det() != 0)
+
+
+@settings(max_examples=40)
+@given(st.one_of(generic_symplectic(), generic_symplectic().map(scaled), invertible_qx))
+def test_spread_length_matches_the_linear_slopes(g):
+    # symplectic, scaled (never symplectic) and generic invertible Q(X)
+    # matrices, whose root valuations need not pair up as v, -v
+    for val in PSEUDO_VALUATIONS:
+        assert translation_length(g, val, NORM_SPREAD) == ratfunc_spread_length(g, val), val
 
 
 def test_pseudodistance_of_a_rectangular_g2():

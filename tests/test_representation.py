@@ -148,6 +148,21 @@ def test_integrality_soundness_sweep():
     assert lengths and all(value == 0 for _, value in lengths)
 
 
+def test_word_ball_size_is_bounded_per_level(monkeypatch):
+    # the pants ball over c1, c2 holds 4, 16, 52, 160 words through lengths 1 to 4
+    from valrep import representation
+
+    rep = pants_rep(ORDER0)
+    assert closed_point_verdict(rep, radius=30).kind == "closed"  # its witness is short
+    monkeypatch.setattr(representation, "MAX_BALL_WORDS", 52)
+    assert len(list(rep.iter_ball(3))) == 52
+    built = []
+    with pytest.raises(ValueError, match="radius 30 exceeds 52 words: length 4 brings it to 160"):
+        built.extend(rep.iter_ball(30))
+    assert len(built) == 52
+    assert closed_point_verdict(rep, radius=30).kind == "closed"
+
+
 def test_degree_guard_fires():
     rep = pants_rep(ORDER0, degree_bound=2)
     with pytest.raises(DegreeGuardExceeded):

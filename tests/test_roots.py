@@ -1,10 +1,12 @@
-"""Q(X) roots of polynomials in Z[X][T] against sympy's bivariate factorization.
+"""Z[X] roots of char polys in Z[X][T] against sympy's bivariate factorization.
 
-`linear_eigenvalues` finds the roots from one Kronecker evaluation
-X = 2^w and an l-adic integer root finder; `sympy_linear_eigenvalues`
-(helpers.py) is the factorization over Z[X, T] it replaces.  The pair
-(roots, nonsplit degree) must agree exactly, multiplicities and order
-included.
+`linear_eigenvalues` takes what char_poly(N) is for an invertible N: a
+polynomial monic in T, of T-degree at least 1, with p(0) != 0.  It finds
+the roots from one Kronecker evaluation X = 2^w and an l-adic integer
+root finder; `sympy_linear_eigenvalues` (helpers.py) is the
+factorization over Z[X, T] it replaces.  The roots must agree exactly,
+multiplicities included, and every root sympy leaves out must lie in a
+factor of T-degree above 1.
 """
 
 import pytest
@@ -35,19 +37,18 @@ def zx(bound, max_size=3):
 
 
 nonzero_zx = zx(4, 2).filter(bool)
-root_parts = st.one_of(zx(6), zx(2**100))
-leads = st.one_of(st.just(ONE), nonzero_zx)
+root_parts = st.one_of(zx(6), zx(2**100)).filter(bool)
 
 
 @st.composite
 def factors(draw):
-    """(factor, T-degree): linear, irreducible quadratic or cubic, or a power of T."""
-    kind = draw(st.sampled_from(("linear", "linear", "quadratic", "cubic", "power")))
+    """(factor, T-degree): T - a with a != 0, or an irreducible quadratic or cubic.
+
+    Every factor is monic with a nonzero constant term, so their products are too.
+    """
+    kind = draw(st.sampled_from(("linear", "linear", "quadratic", "cubic")))
     if kind == "linear":
-        return linear(draw(leads), draw(root_parts)), 1
-    if kind == "power":
-        k = draw(st.integers(1, 3))
-        return T**k, k
+        return linear(ONE, draw(root_parts)), 1
     shift = linear(ONE, draw(zx(6)))
     w = draw(nonzero_zx)
     if kind == "quadratic":
@@ -60,8 +61,8 @@ def factors(draw):
 
 @st.composite
 def products(draw):
-    """A product of up to four factors of total T-degree at most 6, with repeats."""
-    p, degree = const(draw(leads)), 0
+    """A product of one to four factors of total T-degree 1 to 6, with repeats."""
+    p, degree = const(ONE), 0
     for factor, deg in draw(st.lists(factors(), min_size=1, max_size=4)):
         for _ in range(draw(st.integers(1, 2))):
             if degree + deg <= 6:
@@ -69,10 +70,21 @@ def products(draw):
     return p
 
 
+def as_oracle(p, roots):
+    """linear_eigenvalues' answer in the form of `sympy_linear_eigenvalues`.
+
+    The roots become Q(X) elements sorted by (str, multiplicity), and
+    the roots left out make up the non-split degree.
+    """
+    qx = sorted(((RatFunc(a), m) for a, m in roots), key=lambda rm: (str(rm[0]), rm[1]))
+    return qx, p.degree - sum(m for _, m in roots)
+
+
 @settings(max_examples=150)
 @given(products())
 def test_linear_eigenvalues_match_the_sympy_factorization(p):
-    assert linear_eigenvalues(p) == sympy_linear_eigenvalues(p)
+    assert p.degree >= 1 and p.leading() == 1 and p.coeffs[0]
+    assert as_oracle(p, linear_eigenvalues(p)) == sympy_linear_eigenvalues(p)
 
 
 @pytest.mark.parametrize("r", [3, 5, 7, 2**20 - 1, 2**20, 2**100, -(2**100), 2**100 + 1])
@@ -85,19 +97,19 @@ def test_root_at_the_mignotte_bound(r, cofactor):
         p = p * Poly((ONE, Poly(), ONE))
     elif cofactor == "T^2-X":
         p = p * Poly((Poly((0, -1)), Poly(), ONE))
-    roots, nonsplit = linear_eigenvalues(p)
-    assert roots == [(RatFunc(Poly((r,))), 1)]
-    assert (roots, nonsplit) == sympy_linear_eigenvalues(p)
+    roots = linear_eigenvalues(p)
+    assert roots == [(Poly((r,)), 1)]
+    assert as_oracle(p, roots) == sympy_linear_eigenvalues(p)
 
 
-def test_non_monic_roots_are_divided_by_the_leading_coefficient():
-    # 2 T - 2^100 has the root 2^99; (X T - 1)^2 (3 T + X) has 1/X twice and -X/3
+def test_non_monic_input_is_rejected():
+    # 2 T - 2^100 and (X T - 1)^2 (3 T + X) have roots in Q(X) outside Z[X];
+    # char_poly(N) is monic, so such input is refused, never answered
     p = linear(Poly((2,)), Poly((2**100,)))
-    assert linear_eigenvalues(p) == ([(RatFunc(Poly((2**99,))), 1)], 0)
     q = linear(Poly((0, 1)), ONE) ** 2 * linear(Poly((3,)), Poly((0, -1)))
-    roots, nonsplit = linear_eigenvalues(q)
-    assert [(str(r), m) for r, m in roots] == [("(1)/(X)", 2), ("-1/3*X", 1)]
-    assert nonsplit == 0 and (roots, nonsplit) == sympy_linear_eigenvalues(q)
+    for bad in (p, q, -linear(ONE, ONE)):
+        with pytest.raises(ValueError, match="monic"):
+            linear_eigenvalues(bad)
 
 
 def test_spurious_integer_roots_of_the_evaluation_are_dropped():
@@ -110,18 +122,17 @@ def test_spurious_integer_roots_of_the_evaluation_are_dropped():
             width = _root_width(p.coeffs[0])
             image = Poly(pack(c, width) for c in p.coeffs)
             spurious += bool(_integer_roots(image))
-            assert linear_eigenvalues(p) == ([], 2) == sympy_linear_eigenvalues(p)
+            assert linear_eigenvalues(p) == []
+            assert sympy_linear_eigenvalues(p) == ([], 2)
     assert spurious > 0
 
 
 def test_zero_roots_and_degree_zero():
-    # T^3 (T - X): the root 0 three times and X once
-    p = T**3 * linear(ONE, Poly((0, 1)))
-    assert linear_eigenvalues(p) == sympy_linear_eigenvalues(p)
-    assert linear_eigenvalues(p)[0][0] == (RatFunc(0), 3)
-    assert linear_eigenvalues(const(Poly((0, 1)))) == ([], 0)
-    with pytest.raises(ValueError, match="zero polynomial"):
-        linear_eigenvalues(Poly())
+    # T^3 (T - X) has the root 0, so it is no char poly of an invertible
+    # matrix; constants have no roots to find; both are refused
+    for bad in (T**3 * linear(ONE, Poly((0, 1))), T, const(ONE), const(Poly((0, 1))), Poly()):
+        with pytest.raises(ValueError, match="positive degree with p\\(0\\) != 0"):
+            linear_eigenvalues(bad)
 
 
 @st.composite

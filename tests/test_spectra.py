@@ -58,8 +58,14 @@ def test_unipotent_has_zero_length():
 def test_non_symplectic_spectrum_flagged():
     g = diag(X, X)
     with pytest.raises(NonSymplecticSpectrumError):
-        jordan_valuation(g, ADIC0, mode="symplectic")
-    assert jordan_valuation(g, ADIC0, mode="linear") == (Fraction(-1), Fraction(-1))
+        jordan_valuation(g, ADIC0)
+    with pytest.raises(NonSymplecticSpectrumError):
+        translation_length(g, ADIC0, NORM_SUM)
+    # the spread reads the whole multiset {1, 1}, with no symmetry needed
+    assert translation_length(g, ADIC0, NORM_SPREAD) == 0
+    assert translation_length(diag(X, ONE), ADIC0, NORM_SPREAD) == 1
+    with pytest.raises(ValueError, match="symplectic matrices have even size"):
+        jordan_valuation(diag(X, ONE, ONE / X), ADIC0)
 
 
 def test_length_is_class_function_and_power_homogeneous():
