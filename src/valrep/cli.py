@@ -121,20 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
         if "word" in flags:
             p.add_argument("--word", default=None)
 
-    # rep_from_input reads --order (the pants shortcut's default order)
-    rep = ("input", "order")
+    # a representation input names its own order and valuation
     add("pants-demo", cmd_pants_demo, "order", "valuation", "radius", "kmax", "maxlen", maxlen=2)
-    add("symplectic-check", cmd_symplectic_check, *rep)
-    add("trace", cmd_trace, *rep, "word")
-    add("translength", cmd_translength, *rep, "valuation", "norm", "word")
-    add("jordan", cmd_jordan, *rep, "valuation", "word")
-    add("closed-point", cmd_closed_point, *rep, "radius")
+    add("symplectic-check", cmd_symplectic_check, "input")
+    add("trace", cmd_trace, "input", "word")
+    add("translength", cmd_translength, "input", "valuation", "norm", "word")
+    add("jordan", cmd_jordan, "input", "valuation", "word")
+    add("closed-point", cmd_closed_point, "input", "radius")
     add("maslov", cmd_maslov, "input", "order")
     add("crossratio", cmd_crossratio, "input")
-    add("maximality", cmd_maximality, *rep)
-    add("periods", cmd_periods, *rep)
-    add("multicurve", cmd_multicurve, *rep, "kmax", "maxlen")
-    add("distance", cmd_distance, "input", "order", "valuation", "norm")
+    add("maximality", cmd_maximality, "input")
+    add("periods", cmd_periods, "input")
+    add("multicurve", cmd_multicurve, "input", "kmax", "maxlen")
+    add("distance", cmd_distance, "input", "valuation", "norm")
     return parser
 
 
@@ -199,15 +198,11 @@ def read_valuation(spec: str) -> Valuation:
         raise InputError(f"bad valuation: {err}")
 
 
-def specs_from_flags(args, default_order=None) -> tuple[OrderSpec | None, Valuation]:
-    """--order (or its default) and --valuation, which defaults to the one at the order's anchor."""
-    spec = args.order or default_order
-    order = read_order(spec) if spec else None
-    if args.valuation:
-        return order, read_valuation(args.valuation)
-    if order is None:
+def valuation_flag(args) -> Valuation:
+    """The valuation --valuation names, which a bare matrix input needs."""
+    if not args.valuation:
         raise InputError("--valuation is required for this command")
-    return order, Valuation(order.a)
+    return read_valuation(args.valuation)
 
 
 def matrix_from_json(rows: list, what: str, max_degree: int) -> Matrix:
@@ -254,14 +249,14 @@ def rep_from_json(data: dict, max_degree: int) -> RepTable:
     )
 
 
-def rep_from_input(data: dict, args) -> RepTable:
-    """The pants shortcut, a "representation" object, or the input itself as one."""
+def rep_from_input(data: dict, max_degree: int) -> RepTable:
+    """The pants shortcut (at its "order", or aplus:0), a "representation", or the input itself."""
     if data.get("representation") == "pants":
-        spec = field(data, "order", str, required=False) or args.order or "aplus:0"
-        return pants_rep(read_order(spec), degree_bound=args.degree_bound)
+        spec = field(data, "order", str, required=False) or "aplus:0"
+        return pants_rep(read_order(spec), degree_bound=max_degree)
     if "representation" in data:
-        return rep_from_json(field(data, "representation", dict), args.degree_bound)
-    return rep_from_json(data, args.degree_bound)
+        return rep_from_json(field(data, "representation", dict), max_degree)
+    return rep_from_json(data, max_degree)
 
 
 def word_from_args(args, data: dict) -> Word:
@@ -315,7 +310,8 @@ def classification_to_json(outcome) -> dict:
 
 
 def cmd_pants_demo(args) -> dict:
-    order, valuation = specs_from_flags(args, default_order="aplus:0")
+    order = read_order(args.order or "aplus:0")
+    valuation = read_valuation(args.valuation) if args.valuation else Valuation(order.a)
     rep = pants_rep(order, valuation, args.degree_bound)
     relator = parse_word("c3 c2 c1")
     trace_word = parse_word("c1^-1 c3")
@@ -354,13 +350,13 @@ def cmd_symplectic_check(args) -> dict:
     if "matrix" in data:
         m = matrix_from_json(field(data, "matrix", list), "matrix", args.degree_bound)
         return {"symplectic": is_symplectic(m)}
-    rep = rep_from_input(data, args)
+    rep = rep_from_input(data, args.degree_bound)
     return {"symplectic": {name: True for name in sorted(rep.images)}}
 
 
 def cmd_trace(args) -> dict:
     data = load_input(args)
-    rep = rep_from_input(data, args)
+    rep = rep_from_input(data, args.degree_bound)
     word = word_from_args(args, data)
     return {"word": str(word), "trace": format_ratfunc(rep.trace(word))}
 
@@ -368,9 +364,13 @@ def cmd_trace(args) -> dict:
 def _matrix_or_rep_word(args) -> tuple[Matrix | FracMatrix, Valuation]:
     data = load_input(args)
     if "matrix" in data:
+        if args.word:
+            raise InputError("--word does not apply to a matrix input")
         m = matrix_from_json(field(data, "matrix", list), "matrix", args.degree_bound)
-        return m, specs_from_flags(args)[1]
-    rep = rep_from_input(data, args)
+        return m, valuation_flag(args)
+    if args.valuation:
+        raise InputError("--valuation does not apply to a representation, which names its own")
+    rep = rep_from_input(data, args.degree_bound)
     return rep.image(word_from_args(args, data)), rep.valuation
 
 
@@ -395,7 +395,7 @@ def cmd_jordan(args) -> dict:
 
 
 def cmd_closed_point(args) -> dict:
-    rep = rep_from_input(load_input(args), args)
+    rep = rep_from_input(load_input(args), args.degree_bound)
     verdict = closed_point_verdict(rep, radius=args.radius)
     return {
         "order": rep.order.spec_string(),
@@ -425,7 +425,7 @@ def cmd_crossratio(args) -> dict:
 
 def cmd_maximality(args) -> dict:
     data = load_input(args)
-    rep = rep_from_input(data, args)
+    rep = rep_from_input(data, args.degree_bound)
     framing_data = field(data, "framing", dict)
     labels = tuple(field(framing_data, "labels", list, "framing", each=str))
     if not labels:
@@ -451,7 +451,7 @@ def cmd_maximality(args) -> dict:
 
 def cmd_periods(args) -> dict:
     data = load_input(args)
-    rep = rep_from_input(data, args)
+    rep = rep_from_input(data, args.degree_bound)
     words = field(data, "words", list, each=str)
     if not words:
         raise InputError("input needs a nonempty words array")
@@ -465,7 +465,7 @@ def cmd_periods(args) -> dict:
 
 
 def cmd_multicurve(args) -> dict:
-    rep = rep_from_input(load_input(args), args)
+    rep = rep_from_input(load_input(args), args.degree_bound)
     outcome = multicurve_certificate_ball(rep, args.maxlen, k_max=args.kmax)
     return {
         "order": rep.order.spec_string(),
@@ -478,7 +478,7 @@ def cmd_multicurve(args) -> dict:
 def cmd_distance(args) -> dict:
     data = load_input(args)
     g1, g2 = (matrix_from_json(field(data, g, list), g, args.degree_bound) for g in ("g1", "g2"))
-    valuation = specs_from_flags(args)[1]
+    valuation = valuation_flag(args)
     value = building_pseudodistance(g1, g2, valuation, args.norm)
     return {
         "norm": args.norm,

@@ -253,6 +253,8 @@ def multicurve_certificate_ball(
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     class_periods: dict[tuple, Fraction] = {}
     periods = []
     for word, image in rep.iter_ball(max_len):

@@ -380,13 +380,11 @@ class FracMatrix:
     def __matmul__(self, other: "FracMatrix") -> "FracMatrix":
         a, b = self, other
         bound, width = _product_bound(a, b)
-        if width > max(a.width, b.width):
-            a, b = a._measured(), b._measured()
+        if width > min(a.width, b.width):  # a factor is repacked: measure both first
+            a, b = _remeasured((a, b), lambda a, b: _product_bound(a, b)[1])
             bound, width = _product_bound(a, b)
-        cols = tuple(zip(*b._at_width(width).packed))
-        packed = tuple(
-            tuple(sum(map(mul, row, col)) for col in cols) for row in a._at_width(width).packed
-        )
+        cols = tuple(zip(*b.packed))
+        packed = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a.packed)
         return FracMatrix(packed, a.den * b.den, width, bound, a.length + b.length - 1)
 
     def transpose(self) -> "FracMatrix":
@@ -430,27 +428,13 @@ class FracMatrix:
         B = max_k C(n,k) k! L^(k-1) M^k; the entries are repacked only if
         b' is wider.
         """
-        m = self._measured()
-        n = len(m.packed)
-        bound = max(perm(n, k) * m.length ** (k - 1) * m.bound**k for k in range(1, n + 1))
-        width = _width(bound, m.width)
-        coeffs = Matrix(m._at_width(width).packed).char_poly().coeffs
+        n = len(self.packed)
+        (m,) = _remeasured((self,), lambda m: _width(
+            max(perm(n, k) * m.length ** (k - 1) * m.bound**k for k in range(1, n + 1)), m.width
+        ))
+        coeffs = Matrix(m.packed).char_poly().coeffs
         # int(): on an all-zero matrix the leading 1 is Matrix.one()'s Fraction(1)
-        return Poly(unpack(int(c), width) for c in coeffs)
-
-    def _measured(self) -> "FracMatrix":
-        """The same matrix with the real bound and length of its entries."""
-        polys = [unpack(v, self.width) for row in self.packed for v in row]
-        return FracMatrix(self.packed, self.den, self.width, *_measure(polys))
-
-    def _at_width(self, width: int) -> "FracMatrix":
-        """The same matrix repacked at a larger width."""
-        if width == self.width:
-            return self
-        packed = tuple(
-            tuple(pack(unpack(v, self.width), width) for v in row) for row in self.packed
-        )
-        return FracMatrix(packed, self.den, width, self.bound, self.length)
+        return Poly(unpack(int(c), m.width) for c in coeffs)
 
     def to_matrix(self) -> Matrix:
         """The canonical matrix over Q(X)."""
@@ -498,6 +482,19 @@ def _measure(polys: list[Poly]) -> tuple[int, int]:
     """The largest |coefficient| and the largest coefficient count (at least 1) of polys."""
     coeffs = [p.coeffs for p in polys]
     return max(max(map(abs, cs), default=0) for cs in coeffs), max(1, max(map(len, coeffs)))
+
+
+def _remeasured(ms: tuple[FracMatrix, ...], width_of: Callable[..., int]) -> list[FracMatrix]:
+    """ms with measured bounds and lengths at width width_of(*those), each entry unpacked once."""
+    polys = [[[unpack(v, m.width) for v in row] for row in m.packed] for m in ms]
+    ms = [FracMatrix(m.packed, m.den, m.width, *_measure(sum(p, []))) for m, p in zip(ms, polys)]
+    width = width_of(*ms)
+    return [
+        m if m.width == width else FracMatrix(
+            tuple(tuple(pack(e, width) for e in row) for row in p), m.den, width, m.bound, m.length
+        )
+        for m, p in zip(ms, polys)
+    ]
 
 
 def _product_bound(a: FracMatrix, b: FracMatrix) -> tuple[int, int]:

@@ -40,7 +40,7 @@ def pants_presentation() -> GroupPresentation:
 
 
 def pants_rep(
-    order: OrderSpec, valuation: Valuation | None = None, degree_bound: int | None = 512
+    order: OrderSpec, valuation: Valuation | None = None, degree_bound: int = 512
 ) -> RepTable:
     """The demo representation, with c3 := (c2 c1)^{-1}, under the given degree guard."""
     c1 = matrix_from_strings(C1_ENTRIES)

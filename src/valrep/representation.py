@@ -20,9 +20,9 @@ measures the largest degree of a *reduced* entry, as if each entry were
 canonical; since reduction never raises a degree, an entry needs its gcd
 only when max(deg N_ij, deg D) exceeds the bound, and deg N_ij is read
 exactly from the packed int's bit length (see `linalg.FracMatrix`).  The
-RepTable owns the bound (`degree_bound`, 512 by default, None for no
-guard), and one product step applies it to every word image, whether
-`image` builds it letter by letter or a ball sweep shares its prefix.
+RepTable owns the bound (`degree_bound`, 512 by default), and one
+product step applies it to every word image, whether `image` builds it
+letter by letter or a ball sweep shares its prefix.
 
 Closed-point verdicts follow the two sound routes: an integrality
 certificate (all generator entries in the valuation ring forces every
@@ -94,7 +94,7 @@ class RepTable:
         order: OrderSpec,
         valuation: Valuation,
         free_generators: Sequence[str] | None = None,
-        degree_bound: int | None = 512,
+        degree_bound: int = 512,
     ):
         if set(images) != set(presentation.generators):
             raise RepresentationError("images must cover exactly the generators")
@@ -158,10 +158,9 @@ class RepTable:
         whose image the product is, which DegreeGuardExceeded names.
         """
         product = image @ self.letters[letter]
-        if self.degree_bound is not None:
-            deg = product.degree_over(self.degree_bound)
-            if deg is not None:
-                raise DegreeGuardExceeded(prefix(), deg, self.degree_bound)
+        deg = product.degree_over(self.degree_bound)
+        if deg is not None:
+            raise DegreeGuardExceeded(prefix(), deg, self.degree_bound)
         return product
 
     def evaluate(self, word: Word) -> Matrix:

@@ -196,7 +196,8 @@ def test_jordan_builds_one_polygon_per_report(payload, monkeypatch, capsys):
         return original(self)
 
     monkeypatch.setattr(FracMatrix, "char_poly", counting)
-    assert cli.main(["jordan", "--valuation", "atinf", "--json", payload]) == 0
+    flags = [] if "representation" in payload else ["--valuation", "atinf"]
+    assert cli.main(["jordan", *flags, "--json", payload]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(calls) == 1
     assert len(report["result"]["jordan"]) == 2 and report["result"]["polygon"]
@@ -258,6 +259,21 @@ def test_multicurve_rejects_nonpositive_maxlen(maxlen):
     pants = '{"representation": "pants", "order": "plusinf"}'
     report = run_cli("multicurve", "--json", pants, "--maxlen", maxlen, expect=2)
     assert report["error"]["code"] == "input"
+
+
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multicurve", "--json", '{"representation": "pants"}', "--maxlen", "1"],
+        ["pants-demo", "--radius", "1", "--maxlen", "1"],
+    ],
+)
+def test_nonpositive_kmax_is_an_input_error(argv, kmax, capsys):
+    from valrep import cli
+
+    assert cli.main([*argv, "--kmax", kmax]) == 2
+    assert capsys.readouterr().out == _error_report("k_max must be >= 1")
 
 
 SINGULAR_INPUTS = {
@@ -393,20 +409,20 @@ def test_bad_generator_image_reports(message):
     assert proc.stdout == _error_report(message)
 
 
-# one flag per subcommand that the subcommand does not read
+# flags that a subcommand does not read; only maslov and pants-demo use an order
 UNREAD_FLAGS = {
-    "pants-demo": ["--word", "c1"],
-    "symplectic-check": ["--radius", "3"],
-    "trace": ["--norm", "sum"],
-    "translength": ["--kmax", "3"],
-    "jordan": ["--norm", "sum"],
-    "closed-point": ["--valuation", "adic:0"],
-    "maslov": ["--kmax", "3"],
-    "crossratio": ["--order", "plusinf"],
-    "maximality": ["--word", "a"],
-    "periods": ["--maxlen", "2"],
-    "multicurve": ["--radius", "3"],
-    "distance": ["--word", "a"],
+    "pants-demo": [["--word", "c1"]],
+    "symplectic-check": [["--radius", "3"], ["--order", "plusinf"]],
+    "trace": [["--norm", "sum"], ["--order", "plusinf"]],
+    "translength": [["--kmax", "3"], ["--order", "plusinf"]],
+    "jordan": [["--norm", "sum"], ["--order", "plusinf"]],
+    "closed-point": [["--valuation", "adic:0"], ["--order", "plusinf"]],
+    "maslov": [["--kmax", "3"]],
+    "crossratio": [["--order", "plusinf"]],
+    "maximality": [["--word", "a"], ["--order", "plusinf"]],
+    "periods": [["--maxlen", "2"], ["--order", "plusinf"]],
+    "multicurve": [["--radius", "3"], ["--order", "plusinf"]],
+    "distance": [["--word", "a"], ["--order", "plusinf"]],
 }
 
 
@@ -414,9 +430,46 @@ UNREAD_FLAGS = {
 def test_unread_flags_are_rejected(command):
     from valrep import cli
 
-    with pytest.raises(SystemExit) as exit_:
-        cli.build_parser().parse_args([command, *UNREAD_FLAGS[command]])
-    assert exit_.value.code == 2
+    for flags in UNREAD_FLAGS[command]:
+        with pytest.raises(SystemExit) as exit_:
+            cli.build_parser().parse_args([command, *flags])
+        assert exit_.value.code == 2
+
+
+PANTS_WORD = {"representation": "pants", "order": "aplus:0", "word": "c1 c2^-1"}
+# translength and jordan: a flag given with an input that does not read it
+MODE_ERRORS = {
+    "representation with --valuation": (
+        ["--valuation", "atinf"], PANTS_WORD,
+        "--valuation does not apply to a representation, which names its own",
+    ),
+    "matrix with --word": (
+        ["--valuation", "adic:0", "--word", "c1"], {"matrix": [["X", "0"], ["0", "1/X"]]},
+        "--word does not apply to a matrix input",
+    ),
+    "matrix without --valuation": (
+        [], {"matrix": [["X", "0"], ["0", "1/X"]]}, "--valuation is required for this command"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["translength", "jordan"])
+@pytest.mark.parametrize("case", sorted(MODE_ERRORS))
+def test_flags_the_input_does_not_read_are_input_errors(command, case, capsys):
+    from valrep import cli
+
+    flags, payload, message = MODE_ERRORS[case]
+    assert cli.main([command, *flags, "--json", json.dumps(payload)]) == 2
+    assert capsys.readouterr().out == _error_report(message)
+
+
+def test_pants_shortcut_defaults_to_aplus_0(capsys):
+    from valrep import cli
+
+    payload = json.dumps({"representation": "pants"})
+    assert cli.main(["closed-point", "--radius", "1", "--json", payload]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["order"] == "aplus:0" and result["valuation"] == "adic:0"
 
 
 SYMPLECTIC_CHECKS = {
@@ -514,10 +567,10 @@ def _with(base, path, value):
 # inputs that once escaped as tracebacks: (subcommand and flags, JSON value or raw text)
 MALFORMED_INPUTS = {
     "maslov --order 1/0": (["maslov", "--order", "aplus:1/0"], LINES_3),
-    "translength --order 1/0": (["translength", "--order", "aplus:1/0"], DIAG_2),
-    "jordan --order 1/0": (["jordan", "--order", "aplus:1/0"], DIAG_2),
-    "distance --order 1/0": (
-        ["distance", "--order", "aplus:1/0"], {"g1": DIAG_2["matrix"], "g2": DIAG_2["matrix"]}
+    "translength --valuation 1/0": (["translength", "--valuation", "adic:1/0"], DIAG_2),
+    "jordan --valuation 1/0": (["jordan", "--valuation", "adic:1/0"], DIAG_2),
+    "distance --valuation 1/0": (
+        ["distance", "--valuation", "adic:1/0"], {"g1": DIAG_2["matrix"], "g2": DIAG_2["matrix"]}
     ),
     "order field 1/0": (["closed-point"], _with(REP_A, ("order",), "aplus:1/0")),
     "valuation field 1/0": (["closed-point"], _with(REP_A, ("valuation",), "adic:1/0")),

@@ -282,6 +282,14 @@ def test_multicurve_certificate_pants_short():
     assert count == 4 + 12
 
 
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_multicurve_certificate_needs_a_positive_k_max(k_max):
+    # K is the least positive integer with every period in (1/K)Z, so a
+    # k_max below 1 could only ever answer discreteness_unknown
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        multicurve_certificate_ball(pants_rep(ORDER0), 2, k_max=k_max)
+
+
 def test_systole_sweep_pants():
     rep = pants_rep(ORDER0)
     report = systole_sweep(rep, 3, boundary_words())

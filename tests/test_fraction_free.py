@@ -301,6 +301,25 @@ def test_packed_char_poly_width_holds_the_k_factorial():
     assert image.char_poly() == Poly((Poly((2 * c * c,)), Poly((-2 * c,)), ONE))
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_widening_unpacks_each_entry_once(n, monkeypatch):
+    # a widened char poly unpacks the n^2 entries once, to measure and
+    # repack them, and then its n + 1 coefficients; a widening product
+    # unpacks the entries of both factors once
+    calls = []
+    monkeypatch.setattr(linalg, "unpack", lambda v, width: calls.append(width) or unpack(v, width))
+    c = Poly((5 * 2**29,))
+    image = FracMatrix.from_polys([[c] * n] * n, ONE)
+    char_poly = image.char_poly()
+    assert len(calls) == n * n + n + 1 and calls[-1] > image.width
+    del calls[:]
+    product = image @ image
+    assert product.width > image.width and len(calls) == 2 * n * n
+    monkeypatch.undo()
+    assert char_poly == image.num.char_poly()
+    assert product.num == image.num @ image.num
+
+
 @pytest.mark.parametrize("coeffs", DIGIT_EDGES)
 def test_pack_unpack_round_trip_at_digit_edges(coeffs):
     p = Poly(coeffs)
