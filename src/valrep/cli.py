@@ -3,13 +3,16 @@
 One job per invocation, subcommand style.  All field elements in reports
 are canonical expression strings, never floats; reports are byte-stable
 across runs except for the timing field.  Exit codes: 0 success, 2 input
-or schema error, 3 computation aborted by the degree guard.
+or schema error, 3 computation aborted by the degree guard, 141 stdout
+closed before the report was written.  A flag or field given empty is
+read as given, never as absent.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -42,6 +45,7 @@ from .valuation import Valuation
 from .words import Word, parse_word
 
 SCHEMA = "valrep.report/1"
+CLOSED_STDOUT = 141  # what a shell reports for a writer killed by SIGPIPE: 128 + 13
 
 
 class InputError(ValueError):
@@ -54,41 +58,45 @@ def main(argv: list[str] | None = None) -> int:
     if not hasattr(args, "handler"):
         parser.print_help()
         return 2
+    code, report = _run(args)
+    try:
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`valrep ... | head`); as Python's signal docs advise,
+        # point stdout at devnull so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_STDOUT
+    return code
+
+
+def _run(args) -> tuple[int, dict]:
+    """The exit code and the report of one subcommand."""
     started = time.monotonic()
     try:
         if args.degree_bound < 0:
             raise InputError(f"--degree-bound must be >= 0, got {args.degree_bound}")
         result = args.handler(args)
     except (ValueError, SingularMatrixError) as err:  # InputError, ParseError and the like
-        _emit({"schema": SCHEMA, "error": {"code": "input", "message": str(err)}})
-        return 2
+        return 2, {"schema": SCHEMA, "error": {"code": "input", "message": str(err)}}
     except DegreeGuardExceeded as err:
-        _emit(
-            {
-                "schema": SCHEMA,
-                "error": {
-                    "code": "degree_guard",
-                    "message": str(err),
-                    "word": str(err.word),
-                    "degree": err.degree,
-                    "bound": err.bound,
-                },
-            }
-        )
-        return 3
-    report = {
+        error = {
+            "code": "degree_guard",
+            "message": str(err),
+            "word": str(err.word),
+            "degree": err.degree,
+            "bound": err.bound,
+        }
+        return 3, {"schema": SCHEMA, "error": error}
+    return 0, {
         "schema": SCHEMA,
         "command": args.command,
         "result": result,
         "timing_ms": round((time.monotonic() - started) * 1000, 3),
     }
-    _emit(report)
-    return 0
-
-
-def _emit(payload: dict):
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_input(args) -> dict:
-    if args.inline_json:
+    if args.inline_json is not None:
         raw = args.inline_json
-    elif args.input:
+    elif args.input is not None:
         try:
             with open(args.input) as fh:
                 raw = fh.read()
@@ -200,7 +208,7 @@ def read_valuation(spec: str) -> Valuation:
 
 def valuation_flag(args) -> Valuation:
     """The valuation --valuation names, which a bare matrix input needs."""
-    if not args.valuation:
+    if args.valuation is None:
         raise InputError("--valuation is required for this command")
     return read_valuation(args.valuation)
 
@@ -252,17 +260,17 @@ def rep_from_json(data: dict, max_degree: int) -> RepTable:
 def rep_from_input(data: dict, max_degree: int) -> RepTable:
     """The pants shortcut (at its "order", or aplus:0), a "representation", or the input itself."""
     if data.get("representation") == "pants":
-        spec = field(data, "order", str, required=False) or "aplus:0"
-        return pants_rep(read_order(spec), degree_bound=max_degree)
+        spec = field(data, "order", str, required=False)
+        return pants_rep(read_order("aplus:0" if spec is None else spec), degree_bound=max_degree)
     if "representation" in data:
         return rep_from_json(field(data, "representation", dict), max_degree)
     return rep_from_json(data, max_degree)
 
 
 def word_from_args(args, data: dict) -> Word:
-    text = args.word or field(data, "word", str, required=False)
+    text = field(data, "word", str, required=False) if args.word is None else args.word
     if not text:
-        raise InputError("provide --word or a word field in the input")
+        raise InputError("provide a nonempty --word or word field in the input")
     return parse_word(text)
 
 
@@ -310,8 +318,8 @@ def classification_to_json(outcome) -> dict:
 
 
 def cmd_pants_demo(args) -> dict:
-    order = read_order(args.order or "aplus:0")
-    valuation = read_valuation(args.valuation) if args.valuation else Valuation(order.a)
+    order = read_order("aplus:0" if args.order is None else args.order)
+    valuation = Valuation(order.a) if args.valuation is None else read_valuation(args.valuation)
     rep = pants_rep(order, valuation, args.degree_bound)
     relator = parse_word("c3 c2 c1")
     trace_word = parse_word("c1^-1 c3")
@@ -364,11 +372,11 @@ def cmd_trace(args) -> dict:
 def _matrix_or_rep_word(args) -> tuple[Matrix | FracMatrix, Valuation]:
     data = load_input(args)
     if "matrix" in data:
-        if args.word:
+        if args.word is not None:
             raise InputError("--word does not apply to a matrix input")
         m = matrix_from_json(field(data, "matrix", list), "matrix", args.degree_bound)
         return m, valuation_flag(args)
-    if args.valuation:
+    if args.valuation is not None:
         raise InputError("--valuation does not apply to a representation, which names its own")
     rep = rep_from_input(data, args.degree_bound)
     return rep.image(word_from_args(args, data)), rep.valuation
@@ -414,7 +422,7 @@ def _lagrangians_from_json(data: dict, count: int, max_degree: int) -> list[Lagr
 
 def cmd_maslov(args) -> dict:
     ls = _lagrangians_from_json(load_input(args), 3, args.degree_bound)
-    value = maslov(ls[0], ls[1], ls[2], read_order(args.order) if args.order else None)
+    value = maslov(ls[0], ls[1], ls[2], None if args.order is None else read_order(args.order))
     return {"maslov": value, "maximal": value == ls[0].n}
 
 

@@ -159,18 +159,10 @@ class Matrix:
             acc = acc + self.entries[i][i]
         return acc
 
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("hstack needs equal row counts")
         return Matrix(ra + rb for ra, rb in zip(self.entries, other.entries))
-
-    def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "Matrix":
-        return Matrix(
-            [self.entries[i][j] for j in col_indices] for i in row_indices
-        )
 
     def max_degree(self) -> int:
         """Largest RatFunc degree among entries; 0 for plain rationals."""

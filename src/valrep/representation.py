@@ -37,10 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .fields import ONE, OrderSpec, RatFunc
+from .fields import OrderSpec, RatFunc
 from .linalg import FracMatrix, Matrix
 from .spectra import NORM_SUM, translation_length
-from .valuation import Valuation, Value
+from .valuation import Valuation
 from .words import Word, is_class_representative, letter_index
 
 
@@ -139,9 +139,6 @@ class RepTable:
     def size(self) -> int:
         return 2 * self.n
 
-    def identity_matrix(self) -> Matrix:
-        return Matrix.identity(self.size, ONE)
-
     def image(self, word: Word) -> FracMatrix:
         """The fraction-free image of a word, under the degree guard."""
         out = FracMatrix.identity(self.size)
@@ -214,11 +211,6 @@ class RepTable:
         for word, image in self.iter_ball(radius):
             if is_class_representative(word, self.letter_index):
                 yield word, image
-
-    def trace_valuation_sample(self, max_len: int) -> list[tuple[Word, Value]]:
-        """nu(trace) for every freely reduced word up to max_len, the identity first."""
-        ball = [(Word(), FracMatrix.identity(self.size)), *self.iter_ball(max_len)]
-        return [(word, self.valuation.of(image.trace())) for word, image in ball]
 
 
 # -- closed-point verdicts ---------------------------------------------------

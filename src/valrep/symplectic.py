@@ -2,8 +2,8 @@
 
 K^{2n} carries the standard symplectic form <(x1,y1),(x2,y2)> = x1.y2 -
 x2.y1, i.e. the Gram matrix J = [[0, I], [-I, 0]].  Lagrangians are
-n-dimensional isotropic subspaces, stored in a reduced column echelon
-canonical form so that equality is structural.
+n-dimensional isotropic subspaces, stored as the reduced row echelon form
+of a spanning set, so that equality is structural.
 
 For g = [[A, B], [C, E]] in n x n blocks, J^-1 t(g) J is the signed
 rearrangement [[tE, -tB], [-tC, tA]] (`linalg.symplectic_rearrangement`);
@@ -13,9 +13,9 @@ this on g cleared to N/D over Z[X], by one packed product equal to D^2 I
 rearranges; neither multiplies by J.
 
 Write Omega(a, b) for the n x n matrix of pairings <a_i, b_j> between the
-basis columns of two Lagrangians.  l1 is transverse to l2 exactly when
-det Omega(l1, l2) != 0: a vector of l1 pairing to zero with all of l2
-lies in l2, since l2 is Lagrangian.
+basis vectors (echelon rows) of two Lagrangians.  l1 is transverse to l2
+exactly when det Omega(l1, l2) != 0: a vector of l1 pairing to zero with
+all of l2 lies in l2, since l2 is Lagrangian.
 
 The Maslov index of a triple of Lagrangians is the signature of the
 quadratic form (x1,x2,x3) -> <x1,x2> + <x2,x3> + <x3,x1>.  When l1 is
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import OrderSpec, element_sign
+from .fields import ONE, OrderSpec, RatFunc, element_sign
 from .linalg import FracMatrix, Matrix, SingularMatrixError, symplectic_rearrangement
 
 
@@ -87,20 +87,25 @@ def symplectic_inverse(g: Matrix) -> Matrix:
 class Lagrangian:
     """An n-dimensional isotropic subspace of K^{2n} in canonical form.
 
-    The canonical basis matrix is 2n x n; its transpose is in reduced row
-    echelon form, which makes the representative unique per subspace.
+    `rows` is the n x 2n reduced row echelon form of a spanning set, which
+    makes the representative unique per subspace; `basis` is its 2n x n
+    transpose, whose columns span the subspace.
     """
 
-    __slots__ = ("basis", "n")
+    __slots__ = ("rows", "n")
 
-    def __init__(self, basis: Matrix, _canonical: bool = False):
+    def __init__(self, rows: Matrix, _canonical: bool = False):
         if not _canonical:
             raise TypeError("use Lagrangian.span() to construct")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "n", basis.cols)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n", rows.rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Lagrangian is immutable")
+
+    @property
+    def basis(self) -> Matrix:
+        return self.rows.transpose()
 
     @classmethod
     def span(cls, vectors: Matrix) -> "Lagrangian":
@@ -111,47 +116,45 @@ class Lagrangian:
         reduced, pivots = vectors.transpose().rref()
         if len(pivots) != n:
             raise ValueError("vectors do not span an n-dimensional subspace")
-        basis = Matrix(reduced.entries[:n]).transpose()
+        rows = reduced.entries
         for i in range(n):
-            u = basis.column(i)
             for j in range(i + 1, n):
-                if symplectic_pairing(u, basis.column(j)) != 0:
+                if symplectic_pairing(rows[i], rows[j]) != 0:
                     raise IsotropyError("subspace is not isotropic")
-        return cls(basis, _canonical=True)
+        return cls(reduced, _canonical=True)
+
+    # [I | 0], [0 | I], [I | S] and [1 | s] are already in reduced row echelon form
 
     @classmethod
     def horizontal(cls, n: int, one=Fraction(1)) -> "Lagrangian":
-        return cls.span(Matrix.identity(2 * n, one).submatrix(range(2 * n), range(n)))
+        return cls(_over_q(Matrix(Matrix.identity(2 * n, one).entries[:n])), _canonical=True)
 
     @classmethod
     def vertical(cls, n: int, one=Fraction(1)) -> "Lagrangian":
-        return cls.span(Matrix.identity(2 * n, one).submatrix(range(2 * n), range(n, 2 * n)))
+        return cls(_over_q(Matrix(Matrix.identity(2 * n, one).entries[n:])), _canonical=True)
 
     @classmethod
     def graph(cls, s: Matrix) -> "Lagrangian":
-        """The graph {(v, Sv)} of a symmetric n x n matrix S."""
+        """The graph {(v, Sv)} of a symmetric n x n matrix S; symmetry makes it isotropic."""
         if s != s.transpose():
             raise IsotropyError("graph Lagrangians need a symmetric matrix")
-        n = s.rows
-        eye = Matrix.identity(n, s.one())
-        return cls.span(Matrix(list(eye.entries) + list(s.entries)))
+        eye = Matrix.identity(s.rows, s.one())
+        return cls(_over_q(eye.hstack(s)), _canonical=True)
 
     @classmethod
     def line(cls, slope) -> "Lagrangian":
         """n = 1 convenience: span(1, slope); None means the vertical line."""
-        from .fields import RatFunc
-
         if slope is None:
             return cls.vertical(1)
         if isinstance(slope, RatFunc):
-            return cls.span(Matrix([[RatFunc.coerce(1)], [slope]]))
-        return cls.span(Matrix([[Fraction(1)], [Fraction(slope)]]))
+            return cls(Matrix([[ONE, slope]]), _canonical=True)
+        return cls(Matrix([[Fraction(1), Fraction(slope)]]), _canonical=True)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Lagrangian) and self.basis == other.basis
+        return isinstance(other, Lagrangian) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(("Lagrangian", self.basis))
+        return hash(("Lagrangian", self.rows))
 
     def __repr__(self):
         return f"Lagrangian({self.basis!r})"
@@ -164,14 +167,18 @@ class Lagrangian:
         return pairing_matrix(self, other).det() != 0
 
 
+def _over_q(rows: Matrix) -> Matrix:
+    """rows with integer entries read as rationals, as `Matrix.rref` reads them in `span`."""
+    if any(type(e) is int for row in rows.entries for e in row):
+        return rows.scale(Fraction(1))
+    return rows
+
+
 def pairing_matrix(a: Lagrangian, b: Lagrangian) -> Matrix:
-    """Omega(a, b): the n x n matrix of pairings <a_i, b_j> of basis columns."""
+    """Omega(a, b): the n x n matrix of pairings <a_i, b_j> of basis vectors (rows)."""
     if a.n != b.n:
         raise ValueError("Lagrangians live in different dimensions")
-    b_cols = b.basis.transpose().entries
-    return Matrix(
-        [symplectic_pairing(u, v) for v in b_cols] for u in a.basis.transpose().entries
-    )
+    return Matrix([symplectic_pairing(u, v) for v in b.rows.entries] for u in a.rows.entries)
 
 
 def signature(sym: Matrix, order: OrderSpec | None = None) -> tuple[int, int, int]:
@@ -210,7 +217,7 @@ def _sign_changes(signs: list[int]) -> int:
 def maslov_gram(l1: Lagrangian, l2: Lagrangian, l3: Lagrangian) -> Matrix:
     """Gram matrix (up to a harmless global factor 2) of the Maslov form."""
     n = l1.n
-    zero = l1.basis.zero_entry()
+    zero = l1.rows.zero_entry()
     m12 = pairing_matrix(l1, l2).entries
     m23 = pairing_matrix(l2, l3).entries
     m13 = pairing_matrix(l1, l3).entries

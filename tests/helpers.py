@@ -166,6 +166,8 @@ def ratfunc_ball(rep, radius, degree_bound=None):
 
     The degree guard reads the reduced entries.
     """
+    from valrep.fields import ONE
+    from valrep.linalg import Matrix
     from valrep.representation import DegreeGuardExceeded
     from valrep.symplectic import symplectic_inverse
 
@@ -179,7 +181,8 @@ def ratfunc_ball(rep, radius, degree_bound=None):
         if degree_bound is not None and deg > degree_bound:
             raise DegreeGuardExceeded(word, deg, degree_bound)
 
-    return _oracle_ball(rep, radius, rep.identity_matrix(), letters, lambda a, b: a @ b, guard)
+    identity = Matrix.identity(rep.size, ONE)
+    return _oracle_ball(rep, radius, identity, letters, lambda a, b: a @ b, guard)
 
 
 def poly_matrix_product(a, b):
@@ -252,6 +255,15 @@ def qx_pseudodistance(g1, g2, valuation, norm):
     return Fraction(max(values) - min(values), 2)
 
 
+def transposing_pairing_matrix(a, b):
+    """Omega(a, b) from the columns of both 2n x n bases, each transposed back to vectors."""
+    from valrep.linalg import Matrix
+    from valrep.symplectic import symplectic_pairing
+
+    b_cols = b.basis.transpose().entries
+    return Matrix([symplectic_pairing(u, v) for v in b_cols] for u in a.basis.transpose().entries)
+
+
 def rank_transverse(l1, l2):
     """l1 transverse l2 by the rank of the 2n x 2n matrix of both bases."""
     return l1.basis.hstack(l2.basis).rank() == 2 * l1.n
@@ -273,9 +285,11 @@ def projection_crossratio(l1, l2, l3, l4):
 
 def _coordinates_in(basis, vectors):
     """Coordinates of `vectors` (columns, inside span(basis)) in `basis`."""
+    from valrep.linalg import Matrix
+
     _, pivots = basis.transpose().rref()
-    square = basis.submatrix(pivots, range(basis.cols))
-    rhs = vectors.submatrix(pivots, range(vectors.cols))
+    square = Matrix(basis.entries[i] for i in pivots)
+    rhs = Matrix(vectors.entries[i] for i in pivots)
     return square.inverse() @ rhs
 
 

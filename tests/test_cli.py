@@ -450,6 +450,15 @@ MODE_ERRORS = {
     "matrix without --valuation": (
         [], {"matrix": [["X", "0"], ["0", "1/X"]]}, "--valuation is required for this command"
     ),
+    # an empty flag is given, not absent
+    "representation with --valuation=": (
+        ["--valuation="], PANTS_WORD,
+        "--valuation does not apply to a representation, which names its own",
+    ),
+    "matrix with --word=": (
+        ["--valuation", "adic:0", "--word="], {"matrix": [["X", "0"], ["0", "1/X"]]},
+        "--word does not apply to a matrix input",
+    ),
 }
 
 
@@ -470,6 +479,27 @@ def test_pants_shortcut_defaults_to_aplus_0(capsys):
     assert cli.main(["closed-point", "--radius", "1", "--json", payload]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["order"] == "aplus:0" and result["valuation"] == "adic:0"
+
+
+@pytest.mark.parametrize("flag", ["--order=", "--valuation="])
+def test_pants_demo_rejects_empty_flags(flag, capsys):
+    from valrep import cli
+
+    assert cli.main(["pants-demo", "--radius", "1", "--maxlen", "1", flag]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "input"
+
+
+@pytest.mark.parametrize(
+    "argv", [["pants-demo", "--radius", "1", "--maxlen", "1"], ["closed-point", "--json", "{}"]]
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    from valrep.cli import CLOSED_STDOUT
+
+    proc = subprocess.Popen(PY + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader leaves before the report is written
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == CLOSED_STDOUT == 141
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
 
 
 SYMPLECTIC_CHECKS = {
@@ -608,6 +638,15 @@ MALFORMED_INPUTS = {
             "framing": _with(FRAMING_A, ("symmetries",), {"a^999999999": {"m": "m"}}),
         },
     ),
+    # empty flags and fields are given, not absent
+    "pants order ''": (["closed-point"], {"representation": "pants", "order": ""}),
+    "trace --word= over a word field": (["trace", "--word="], dict(PANTS_0, word="c1")),
+    "translength --word= with a matrix": (
+        ["translength", "--valuation", "adic:0", "--word="], DIAG_2
+    ),
+    "translength --valuation= with a representation": (["translength", "--valuation="], PANTS_WORD),
+    "jordan --valuation= with a matrix": (["jordan", "--valuation="], DIAG_2),
+    "maslov --order=": (["maslov", "--order="], LINES_3),
 }
 
 

@@ -6,7 +6,10 @@ helpers.py): `FramingCrossratio` against -nu of the Q(X) quotient
 run through `defined` and `value`, `maslov` against the signature of the
 3n x 3n Gram matrix, and `signature` against elimination that updates
 whole rows and columns.  Without an order, `signature` answers exactly
-when every char-poly coefficient is a rational constant.
+when every char-poly coefficient is a rational constant.  `line`, `graph`,
+`horizontal` and `vertical` build their echelon rows without `span`; each
+must equal the span of its own basis, entry type included, and pair as the
+transposed bases do.
 """
 
 from fractions import Fraction
@@ -30,6 +33,7 @@ from valrep.symplectic import (
     TransversalityError,
     maslov,
     maslov_with_radical,
+    pairing_matrix,
     signature,
 )
 from valrep.valuation import Valuation
@@ -40,8 +44,16 @@ from helpers import (
     gram_maslov,
     gram_signature,
     rank_transverse,
+    transposing_pairing_matrix,
 )
-from test_pairing import lagrangians, rational_sp, rationals, sharing_pairs, symmetric
+from test_pairing import (
+    entry_types,
+    lagrangians,
+    rational_sp,
+    rationals,
+    sharing_pairs,
+    symmetric,
+)
 
 R = RatFunc.coerce
 LABELS = tuple("abcde")
@@ -350,3 +362,43 @@ def test_order_free_signature_needs_constant_char_poly_coefficients():
     for order in ORDERS:
         assert signature(pivots_constant, order) == gram_signature(pivots_constant, order)
         assert signature(coefficients_constant, order) == (2, 0, 0)
+
+
+# -- echelon rows built directly ----------------------------------------------
+
+# integer input is read over Q, as `span` reads it
+ENTRY_KINDS = {
+    "Z": (st.integers(-3, 3), 1),
+    "Q": (rationals, Fraction(1)),
+    "Q(X)": (qx_entries, R(1)),
+}
+
+
+def direct_forms(n, entries, one, data):
+    """line, graph, horizontal and vertical, which build their rows without `span`."""
+    forms = [
+        Lagrangian.graph(data.draw(symmetric(n, entries))),
+        Lagrangian.horizontal(n, one),
+        Lagrangian.vertical(n, one),
+    ]
+    if n == 1:
+        forms += [Lagrangian.line(data.draw(entries)), Lagrangian.line(None)]
+    return forms
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRY_KINDS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_direct_forms_are_their_own_span(n, kind, data):
+    entries, one = ENTRY_KINDS[kind]
+    forms = direct_forms(n, entries, one, data)
+    for l in forms:
+        again = Lagrangian.span(l.basis)
+        assert again.rows.entries == l.rows.entries
+        assert entry_types(again.rows) == entry_types(l.rows)
+        assert hash(again) == hash(l)
+    for a, b in combinations(forms, 2):
+        omega, expected = pairing_matrix(a, b), transposing_pairing_matrix(a, b)
+        assert omega.entries == expected.entries
+        assert entry_types(omega) == entry_types(expected)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from valrep.exprparse import parse_ratfunc
-from valrep.fields import OrderSpec, RatFunc, X, format_ratfunc
+from valrep.fields import ONE, OrderSpec, RatFunc, X, format_ratfunc
 from valrep.linalg import Matrix
 from valrep.pants import boundary_words, pants_presentation, pants_rep
 from valrep.representation import (
@@ -43,8 +43,9 @@ def diag_rep(entries):
 def test_pants_rep_validates():
     rep = pants_rep(ORDER0)
     assert rep.n == 2
-    assert rep.evaluate(parse_word("c3 c2 c1")) == rep.identity_matrix()
-    assert rep.evaluate(Word()) == rep.identity_matrix()
+    identity = Matrix.identity(rep.size, ONE)
+    assert rep.evaluate(parse_word("c3 c2 c1")) == identity
+    assert rep.evaluate(Word()) == identity
 
 
 def test_trivial_rep_is_integral():
@@ -94,8 +95,8 @@ def test_trace_is_class_function():
 
 def test_trace_valuation_sample():
     rep = pants_rep(ORDER0)
-    sample = dict(rep.trace_valuation_sample(2))
-    assert sample[Word()] == 0  # trace 4, valuation 0
+    sample = {word: rep.valuation.of(image.trace()) for word, image in rep.iter_ball(2)}
+    assert rep.valuation.of(rep.trace(Word())) == 0  # trace 4, valuation 0
     assert sample[parse_word("c1")] == 0  # unipotent, trace 4
     assert sample[parse_word("c1 c2^-1")] == 0  # hyperbolic, but trace is constant 20
     # the square of c1^-2 c2^-1 has trace with a genuine pole at 0

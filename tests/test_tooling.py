@@ -9,10 +9,12 @@ every function, method and class defined in `src/valrep` is named
 somewhere besides its definition, and only `RepTable.__init__` and
 `pants_rep` take a `degree_bound`, and the CLI's --order and
 --valuation help strings list exactly the spec heads `fields.SPEC_HEADS`
-accepts.  perfbench is only read, never imported or edited.  One
-behavioural guard sits beside them: `symplectic.signature` stays
+accepts.  perfbench is only read, never imported or edited.  Two
+behavioural guards sit beside them: `symplectic.signature` stays
 division-free, so it needs no division over Q(X) and is exact over the
-integers.
+integers, and the Lagrangian constructors whose rows are already in
+reduced echelon form (`line`, `graph`, `horizontal`, `vertical`) never
+call `Matrix.rref`.
 """
 
 import ast
@@ -252,3 +254,30 @@ def test_signature_is_division_free(monkeypatch):
     # over Z a division would leave the ring (int / int is a float)
     a = 3**40
     assert signature(Matrix([[1, a], [a, a * a + 1]])) == (2, 0, 0)
+
+
+def test_direct_lagrangian_forms_do_not_eliminate(monkeypatch):
+    from fractions import Fraction
+
+    from valrep.fields import RatFunc
+    from valrep.linalg import Matrix
+    from valrep.poly import Poly
+    from valrep.symplectic import Lagrangian
+
+    x = RatFunc.coerce(Poly((0, 1)))
+    one = RatFunc.coerce(1)
+
+    def no_elimination(self):
+        raise AssertionError("a form already in echelon form was eliminated again")
+
+    monkeypatch.setattr(Matrix, "rref", no_elimination)
+    forms = [
+        Lagrangian.line(Fraction(3, 2)),
+        Lagrangian.line(x / (x + 1)),
+        Lagrangian.line(None),
+        Lagrangian.graph(Matrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(5)]])),
+        Lagrangian.graph(Matrix([[x, one], [one, x * x]])),
+        Lagrangian.horizontal(2),
+        Lagrangian.vertical(2, one),
+    ]
+    assert [l.n for l in forms] == [1, 1, 1, 2, 2, 2, 2]
