@@ -34,8 +34,9 @@ are nonzero.
 Periods are computed by default through translation lengths (total, no
 framing needed); framing-based periods cross-validate them.  Multicurve
 certificates report the least K with all sampled periods in (1/K)Z.
-Word images, of single words and ball sweeps alike, come from the
-RepTable, so its degree guard (`RepTable.degree_bound`) bounds them all.
+Word images, of single words and class sweeps alike, come from the
+RepTable, so its degree guard (`RepTable.degree_bound`) bounds every
+image that is built.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .representation import RepTable
 from .spectra import NORM_SUM, translation_length
 from .symplectic import TransversalityError, pairing_matrix
 from .valuation import INFINITY, Valuation, Value
-from .words import Word, conjugacy_key, is_key_power
+from .words import Word, conjugacy_key, is_key_power, word_ball
 
 Label = Hashable
 
@@ -249,19 +250,23 @@ def multicurve_certificate_ball(
     """Certificate over every freely reduced word up to max_len.
 
     Periods are conjugation- and inversion-invariant, so each class is
-    computed once and reused for all its members.
+    computed once, from the image of its representative, and reused for
+    all its members.  Only the class sweep builds images; the words are
+    then listed without any.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    class_periods: dict[tuple, Fraction] = {}
-    periods = []
-    for word, image in rep.iter_ball(max_len):
-        key = conjugacy_key(word, rep.letter_index)
-        if key not in class_periods:
-            class_periods[key] = translation_length(image, rep.valuation, NORM_SUM)
-        periods.append((word, class_periods[key]))
+    index = rep.letter_index
+    class_periods = {
+        conjugacy_key(word, index): translation_length(image, rep.valuation, NORM_SUM)
+        for word, image in rep.class_representatives(max_len)
+    }
+    periods = [
+        (word, class_periods[conjugacy_key(word, index)])
+        for word in word_ball(rep.free_generators, max_len)
+    ]
     return certify_period_values(periods, k_max)
 
 

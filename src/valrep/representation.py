@@ -3,9 +3,11 @@
 A RepTable couples a presentation with generator images; construction
 fails loudly unless every image is symplectic and every relator evaluates
 to plus or minus the identity.  Word sweeps share prefix products level
-by level and deduplicate by conjugacy class (translation length is a
-class function, invariant under inversion), which keeps the reported
-first witness equal to the length-lexicographic first one.
+by level.  Class sweeps visit one word per conjugacy class (translation
+length is a class function, invariant under inversion), its
+length-lexicographic first one, and multiply only prefixes of such
+representatives (`words.is_representative_prefix`), which keeps the
+reported first witness equal to the length-lexicographic first one.
 
 Word images are fraction-free: each generator is cleared once to a
 FracMatrix N/D (N over Z[X], D in Z[X]).  Its inverse letter is the
@@ -21,8 +23,10 @@ canonical; since reduction never raises a degree, an entry needs its gcd
 only when max(deg N_ij, deg D) exceeds the bound, and deg N_ij is read
 exactly from the packed int's bit length (see `linalg.FracMatrix`).  The
 RepTable owns the bound (`degree_bound`, 512 by default), and one
-product step applies it to every word image, whether `image` builds it
-letter by letter or a ball sweep shares its prefix.
+product step applies it to every word image that is built, whether
+`image` builds it letter by letter or a sweep shares its prefix; a class
+sweep builds no image outside its pruned tree, so the guard never sees
+one.
 
 Closed-point verdicts follow the two sound routes: an integrality
 certificate (all generator entries in the valuation ring forces every
@@ -41,7 +45,7 @@ from .fields import OrderSpec, RatFunc
 from .linalg import FracMatrix, Matrix
 from .spectra import NORM_SUM, translation_length
 from .valuation import Valuation
-from .words import Word, is_class_representative, letter_index
+from .words import Word, is_class_representative, is_representative_prefix, letter_index
 
 
 MAX_BALL_WORDS = 2**16  # the largest word ball a sweep builds: radius 9 over two generators
@@ -168,47 +172,57 @@ class RepTable:
 
     # -- word sweeps -----------------------------------------------------
 
-    def iter_ball(self, radius: int) -> Iterator[tuple[Word, FracMatrix]]:
+    def iter_ball(
+        self, radius: int, representative_prefixes: bool = False
+    ) -> Iterator[tuple[Word, FracMatrix]]:
         """(word, image) over the freely reduced ball, length-lex order.
 
         The words are those of length 1 to radius over the free
         generators.  Images are fraction-free FracMatrix products, shared
-        along prefixes level by level.  The degree guard aborts the sweep
-        with DegreeGuardExceeded when any intermediate entry, reduced,
-        outgrows the bound.  Children join a level parent by parent, in
-        alphabet order, so each level is already length-lex ordered.
-        Before it builds a level, the sweep raises ValueError if the ball
-        through that level would hold more than MAX_BALL_WORDS words; a
-        caller that stops early never meets the limit.
+        along prefixes level by level; each word keeps its index key
+        beside it.  With `representative_prefixes`, a child whose key
+        fails `is_representative_prefix` is neither built nor extended,
+        so the sweep multiplies only prefixes of class representatives.
+        The degree guard aborts the sweep with DegreeGuardExceeded when an
+        entry of a product it builds, reduced, outgrows the bound.
+        Children join a level parent by parent, in alphabet order, so each
+        level is already length-lex ordered.  Before it builds a level,
+        the sweep raises ValueError if the full ball through that level
+        would hold more than MAX_BALL_WORDS words, pruned or not; a caller
+        that stops early never meets the limit.
         """
-        alphabet = tuple(self.letter_index)
-        level: dict[Word, FracMatrix] = {Word(): FracMatrix.identity(self.size)}
+        alphabet = tuple(self.letter_index.items())
+        level = [(Word(), (), FracMatrix.identity(self.size))]
         words = 0
         for length in range(1, radius + 1):
-            words += len(level) * (len(alphabet) - (length > 1))  # no child cancels a last letter
+            words += len(alphabet) * (len(alphabet) - 1) ** (length - 1)  # the full ball's level
             if words > MAX_BALL_WORDS:
                 raise ValueError(
                     f"word ball of radius {radius} exceeds {MAX_BALL_WORDS} words: "
                     f"length {length} brings it to {words}"
                 )
-            nxt: dict[Word, FracMatrix] = {}
-            for word, image in level.items():
-                last = word.letters[-1] if word.letters else None
-                for name, exp in alphabet:
-                    if last == (name, -exp):
+            nxt = []
+            for word, key, image in level:
+                for letter, i in alphabet:
+                    if key and key[-1] == i ^ 1:
                         continue
-                    extended = Word.from_reduced(word.letters + ((name, exp),))
-                    nxt[extended] = self._times(image, (name, exp), lambda: extended)
-            yield from nxt.items()
+                    child = key + (i,)
+                    if representative_prefixes and not is_representative_prefix(child):
+                        continue
+                    extended = Word.from_reduced(word.letters + (letter,))
+                    nxt.append((extended, child, self._times(image, letter, lambda: extended)))
+            yield from ((word, image) for word, _, image in nxt)
             level = nxt
 
     def class_representatives(self, radius: int) -> Iterator[tuple[Word, FracMatrix]]:
-        """(word, image) for the length-lex first word of each class met in `iter_ball`.
+        """(word, image) for the length-lex first word of each class in the ball.
 
         Classes are conjugacy classes up to inversion, as translation
-        lengths and periods are invariant under both.
+        lengths and periods are invariant under both.  The sweep builds
+        only the images of prefixes of class representatives, so the
+        degree guard sees those products alone.
         """
-        for word, image in self.iter_ball(radius):
+        for word, image in self.iter_ball(radius, representative_prefixes=True):
             if is_class_representative(word, self.letter_index):
                 yield word, image
 

@@ -144,7 +144,7 @@ def words_of_length(generators: Sequence[str], length: int) -> Iterator[Word]:
 
     def extend(prefix: list[Letter]):
         if len(prefix) == length:
-            yield Word(prefix)
+            yield Word.from_reduced(tuple(prefix))
             return
         for letter in alphabet:
             if prefix and prefix[-1][0] == letter[0] and prefix[-1][1] == -letter[1]:
@@ -181,6 +181,24 @@ def is_class_representative(word: Word, index: dict[Letter, int]) -> bool:
     if len(key) >= 2 and key[0] == key[-1] ^ 1:
         return False  # not cyclically reduced
     return not any(rot < key for rot in _rotations(key))
+
+
+def is_representative_prefix(key: tuple[int, ...]) -> bool:
+    """Can a freely reduced extension of `key` be a class representative?
+
+    False when a factor of key starting at a position i >= 1, or a suffix
+    of key's inverse, is smaller than key's prefix of the same length at
+    a difference.  That factor starts a rotation of every extension or of
+    its inverse, which is then smaller than the extension.  Once False, it
+    stays False for every extension, so a sweep may drop the whole subtree
+    (the prefix pruning of necklace generation).  Slices of equal length
+    make tuple order a comparison at a difference.
+    """
+    n = len(key)
+    inverse = tuple(k ^ 1 for k in reversed(key))
+    return not any(key[i:] < key[: n - i] for i in range(1, n)) and not any(
+        inverse[j:] < key[: n - j] for j in range(n)
+    )
 
 
 def _rotations(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -549,6 +549,56 @@ def defined_value_axiom_check(cr, quintuples):
     return AxiomReport(True, sym, add)
 
 
+def unipotent(upper: bool, s):
+    """[[I, S], [0, I]] or [[I, 0], [S, I]]; symplectic for a symmetric 2x2 S."""
+    from valrep.linalg import Matrix
+
+    one, zero = RatFunc.coerce(1), RatFunc.coerce(0)
+    eye = [[one, zero], [zero, one]]
+    nil = [[zero, zero], [zero, zero]]
+    if upper:
+        return Matrix([eye[i] + s[i] for i in range(2)] + [nil[i] + eye[i] for i in range(2)])
+    return Matrix([eye[i] + nil[i] for i in range(2)] + [s[i] + eye[i] for i in range(2)])
+
+
+def generic_rep():
+    """Two unipotent generators whose entries have denominators X^2+1 and X-1."""
+    from valrep.fields import X, OrderSpec
+    from valrep.representation import GroupPresentation, RepTable
+    from valrep.valuation import Valuation
+
+    one = RatFunc.coerce(1)
+    q = X**2 + 1
+    s_a = [[(X + 2) / q, one / (X - 1)], [one / (X - 1), X / q]]
+    s_b = [[(2 * X - 1) / (X - 1), one * 3], [one * 3, one / q]]
+    return RepTable(
+        GroupPresentation(("a", "b"), ()),
+        {"a": unipotent(True, s_a), "b": unipotent(False, s_b)},
+        OrderSpec.at_plus(1),
+        Valuation.adic(1),
+    )
+
+
+def ball_multicurve_certificate(rep, max_len, k_max=16):
+    """multicurve_certificate_ball from the image of every word of the full ball.
+
+    Each class's period is read from the first word of the class that
+    `iter_ball` meets, and reused for its later members.
+    """
+    from valrep.currents import certify_period_values
+    from valrep.spectra import NORM_SUM, translation_length
+    from valrep.words import conjugacy_key
+
+    class_periods = {}
+    periods = []
+    for word, image in rep.iter_ball(max_len):
+        key = conjugacy_key(word, rep.letter_index)
+        if key not in class_periods:
+            class_periods[key] = translation_length(image, rep.valuation, NORM_SUM)
+        periods.append((word, class_periods[key]))
+    return certify_period_values(periods, k_max)
+
+
 def with_degree_bound(rep, bound):
     """rep's free generators and their images, as a free-group RepTable guarded at bound.
 

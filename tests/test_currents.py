@@ -31,6 +31,7 @@ from valrep.symplectic import Lagrangian, TransversalityError, symplectic_invers
 from valrep.valuation import Valuation
 from valrep.words import Word, is_power_of_class, parse_word
 
+from helpers import ball_multicurve_certificate
 from test_symplectic import random_symplectic
 
 R = RatFunc.coerce
@@ -280,6 +281,15 @@ def test_multicurve_certificate_pants_short():
     assert isinstance(verdict, MulticurveCertified)
     count = len(verdict.periods)
     assert count == 4 + 12
+
+
+@pytest.mark.parametrize("spec", ["aplus:0", "plusinf"])
+def test_multicurve_certificate_matches_the_full_ball(spec):
+    rep = pants_rep(OrderSpec.from_spec_string(spec))
+    for max_len in range(1, 7):
+        fast = multicurve_certificate_ball(rep, max_len)
+        slow = ball_multicurve_certificate(rep, max_len)
+        assert fast == slow, max_len  # the same kind, k and periods
 
 
 @pytest.mark.parametrize("k_max", [0, -1])

@@ -33,6 +33,7 @@ from valrep.words import is_class_representative, parse_word
 
 from helpers import (
     faddeev_leverrier,
+    generic_rep,
     poly_matrix_ball,
     poly_matrix_product,
     qx_from_matrix,
@@ -40,6 +41,7 @@ from helpers import (
     ratfunc_ball,
     ratfunc_spread_length,
     ratfunc_translation_length,
+    unipotent,
     with_degree_bound,
 )
 
@@ -359,29 +361,6 @@ def test_degree_guard_takes_the_gcd_path_above_the_bound():
 
 
 # -- word sweeps ---------------------------------------------------------------
-
-
-def unipotent(upper: bool, s):
-    """[[I, S], [0, I]] or [[I, 0], [S, I]]; symplectic for a symmetric 2x2 S."""
-    one, zero = R(1), R(0)
-    eye = [[one, zero], [zero, one]]
-    nil = [[zero, zero], [zero, zero]]
-    if upper:
-        return Matrix([eye[i] + s[i] for i in range(2)] + [nil[i] + eye[i] for i in range(2)])
-    return Matrix([eye[i] + nil[i] for i in range(2)] + [s[i] + eye[i] for i in range(2)])
-
-
-def generic_rep():
-    """Two unipotent generators whose entries have denominators X^2+1 and X-1."""
-    q = X**2 + 1
-    s_a = [[(X + 2) / q, R(1) / (X - 1)], [R(1) / (X - 1), X / q]]
-    s_b = [[(2 * X - 1) / (X - 1), R(3)], [R(3), R(1) / q]]
-    return RepTable(
-        GroupPresentation(("a", "b"), ()),
-        {"a": unipotent(True, s_a), "b": unipotent(False, s_b)},
-        OrderSpec.at_plus(1),
-        Valuation.adic(1),
-    )
 
 
 CASES = [

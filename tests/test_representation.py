@@ -7,7 +7,7 @@ import pytest
 
 from valrep.exprparse import parse_ratfunc
 from valrep.fields import ONE, OrderSpec, RatFunc, X, format_ratfunc
-from valrep.linalg import Matrix
+from valrep.linalg import FracMatrix, Matrix
 from valrep.pants import boundary_words, pants_presentation, pants_rep
 from valrep.representation import (
     ClosedPoint,
@@ -22,9 +22,9 @@ from valrep.representation import (
     sweep_translation_lengths,
 )
 from valrep.valuation import INFINITY, Valuation
-from valrep.words import Word, parse_word
+from valrep.words import Word, is_class_representative, parse_word
 
-from helpers import frac_ball, with_degree_bound
+from helpers import frac_ball, generic_rep, with_degree_bound
 
 ORDER0 = OrderSpec.at_plus(0)
 ADIC0 = Valuation.adic(0)
@@ -220,3 +220,54 @@ def test_iter_ball_matches_word_built_sweep(make):
         assert fired == _sweep(frac_ball(rep, 6, degree_bound=bound)), bound
         if bound == 1:
             assert isinstance(fired[-1][0], str)  # the guard fired, naming a word
+
+
+CLASS_SWEEPS = [
+    ("pants aplus:0", lambda: pants_rep(ORDER0), 6),
+    ("pants plusinf", lambda: pants_rep(OrderSpec.plus_infinity()), 6),
+    ("pants aplus:1", lambda: pants_rep(OrderSpec.at_plus(1)), 6),
+    ("generic adic:1", generic_rep, 4),
+    ("a b c", three_generator_rep, 4),
+]
+
+
+@pytest.mark.parametrize("name,make,radius", CLASS_SWEEPS, ids=[c[0] for c in CLASS_SWEEPS])
+def test_class_representatives_match_the_filtered_full_ball(name, make, radius):
+    rep = make()
+    for r in range(1, radius + 1):
+        fast = list(rep.class_representatives(r))
+        slow = [(w, im) for w, im in rep.iter_ball(r) if is_class_representative(w, rep.letter_index)]
+        assert [w for w, _ in fast] == [w for w, _ in slow], r
+        for (word, image), (_, expected) in zip(fast, slow):
+            assert image.to_matrix() == expected.to_matrix(), word
+
+
+def test_class_sweep_builds_only_representative_prefixes(monkeypatch):
+    # pinned: the radius-6 class sweep over c1, c2 builds 207 of the 1,456 ball products
+    rep = pants_rep(ORDER0)
+    products = []
+    matmul = FracMatrix.__matmul__
+    monkeypatch.setattr(FracMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    assert len(list(rep.class_representatives(6))) == 117
+    assert len(products) == 207
+    products.clear()
+    assert len(list(rep.iter_ball(6))) == 1456
+    assert len(products) == 1456
+
+
+def test_degree_guard_under_the_class_sweep():
+    # each bound gives the unbounded class list, or names the first word of the
+    # pruned tree whose image has a reduced entry of degree above the bound
+    rep = pants_rep(ORDER0)
+    tree = list(rep.iter_ball(6, representative_prefixes=True))
+    classes = [w for w, _ in rep.class_representatives(6)]
+    fired = []
+    for bound in range(1, 9):
+        try:
+            assert [w for w, _ in with_degree_bound(rep, bound).class_representatives(6)] == classes
+        except DegreeGuardExceeded as err:
+            degrees = [image.degree_over(bound) for _, image in tree]
+            first = next(i for i, d in enumerate(degrees) if d is not None)
+            assert (err.word, err.degree, err.bound) == (tree[first][0], degrees[first], bound)
+            fired.append(bound)
+    assert fired == [1, 2, 3, 4, 5]  # both outcomes occur

@@ -1,6 +1,7 @@
 """Word reduction, enumeration and conjugacy-class keys."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from valrep.words import (
     MAX_WORD_LETTERS,
@@ -9,6 +10,8 @@ from valrep.words import (
     format_word,
     is_class_representative,
     is_power_of_class,
+    is_representative_prefix,
+    letter_alphabet,
     letter_index,
     parse_word,
     word_ball,
@@ -122,3 +125,56 @@ def test_power_of_class_keys_match_rotation_words():
             assert is_power_of_class(w, base, index) == rotation_is_power_of_class(w, base, gens), (
                 w, base,
             )
+
+
+def representative_candidates(letters, max_len):
+    """Reduced index keys up to max_len whose first letter is even and least.
+
+    Least among the key's letters and its inverse's: a rotation of the
+    word or its inverse starting at a smaller letter is smaller, so every
+    class representative's key is among these (an odd first letter k has
+    the smaller inverse k ^ 1 in the inverse word).
+    """
+    for first in range(0, letters, 2):
+        stack = [(first,)]
+        while stack:
+            key = stack.pop()
+            yield key
+            if len(key) < max_len:
+                stack.extend(key + (i,) for i in range(first, letters) if i != key[-1] ^ 1)
+
+
+@pytest.mark.parametrize("generators,count", [(("a", "b"), 693), (("a", "b", "c"), 31795)])
+def test_representative_prefixes_are_sound(generators, count):
+    # every prefix of every class representative up to length 8 passes
+    alphabet, index = letter_alphabet(generators), letter_index(generators)
+    found = []
+    for key in representative_candidates(len(alphabet), 8):
+        word = Word.from_reduced(tuple(alphabet[i] for i in key))
+        if is_class_representative(word, index):
+            found.append(word)
+            assert all(is_representative_prefix(key[:i]) for i in range(1, len(key) + 1)), word
+    assert len(found) == count
+    if len(generators) == 2:  # the candidates miss no representative
+        full = [w for w in word_ball(generators, 8) if is_class_representative(w, index)]
+        assert sorted(found, key=lambda w: w.letters) == sorted(full, key=lambda w: w.letters)
+
+
+@st.composite
+def reduced_keys(draw):
+    """A freely reduced index key over 2 or 3 generators, with its alphabet size."""
+    letters = 2 * draw(st.integers(2, 3))
+    key = [draw(st.integers(0, letters - 1))]
+    for step in draw(st.lists(st.integers(0, letters - 2), max_size=9)):
+        # the letters - 1 letters that do not cancel the last one
+        key.append(step if step < key[-1] ^ 1 else step + 1)
+    return tuple(key), letters
+
+
+@given(reduced_keys())
+def test_a_failed_prefix_fails_every_extension(drawn):
+    key, letters = drawn
+    if not is_representative_prefix(key):
+        for i in range(letters):
+            if i != key[-1] ^ 1:
+                assert not is_representative_prefix(key + (i,)), (key, i)
