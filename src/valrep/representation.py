@@ -2,12 +2,13 @@
 
 A RepTable couples a presentation with generator images; construction
 fails loudly unless every image is symplectic and every relator evaluates
-to plus or minus the identity.  Word sweeps share prefix products level
-by level.  Class sweeps visit one word per conjugacy class (translation
-length is a class function, invariant under inversion), its
-length-lexicographic first one, and multiply only prefixes of such
-representatives (`words.is_representative_prefix`), which keeps the
+to plus or minus the identity.  Class sweeps visit one word per
+conjugacy class (translation length is a class function, invariant
+under inversion), its length-lexicographic first one, which keeps the
 reported first witness equal to the length-lexicographic first one.
+The one word sweep (`iter_ball`) shares prefix products level by level
+and multiplies only prefixes of such representatives
+(`words.is_representative_prefix`).
 
 Word images are fraction-free: each generator is cleared once to a
 FracMatrix N/D (N over Z[X], D in Z[X]).  Its inverse letter is the
@@ -24,7 +25,7 @@ only when max(deg N_ij, deg D) exceeds the bound, and deg N_ij is read
 exactly from the packed int's bit length (see `linalg.FracMatrix`).  The
 RepTable owns the bound (`degree_bound`, 512 by default), and one
 product step applies it to every word image that is built, whether
-`image` builds it letter by letter or a sweep shares its prefix; a class
+`image` builds it letter by letter or a sweep shares its prefix; a
 sweep builds no image outside its pruned tree, so the guard never sees
 one.
 
@@ -172,24 +173,22 @@ class RepTable:
 
     # -- word sweeps -----------------------------------------------------
 
-    def iter_ball(
-        self, radius: int, representative_prefixes: bool = False
-    ) -> Iterator[tuple[Word, FracMatrix]]:
-        """(word, image) over the freely reduced ball, length-lex order.
+    def iter_ball(self, radius: int) -> Iterator[tuple[Word, FracMatrix]]:
+        """(word, image) over the prefixes of class representatives, length-lex order.
 
         The words are those of length 1 to radius over the free
-        generators.  Images are fraction-free FracMatrix products, shared
-        along prefixes level by level; each word keeps its index key
-        beside it.  With `representative_prefixes`, a child whose key
-        fails `is_representative_prefix` is neither built nor extended,
-        so the sweep multiplies only prefixes of class representatives.
-        The degree guard aborts the sweep with DegreeGuardExceeded when an
-        entry of a product it builds, reduced, outgrows the bound.
-        Children join a level parent by parent, in alphabet order, so each
-        level is already length-lex ordered.  Before it builds a level,
-        the sweep raises ValueError if the full ball through that level
-        would hold more than MAX_BALL_WORDS words, pruned or not; a caller
-        that stops early never meets the limit.
+        generators whose index key passes `is_representative_prefix`: a
+        child that fails it is neither built nor extended, so the sweep
+        multiplies only prefixes of class representatives.  Images are
+        fraction-free FracMatrix products, shared along prefixes level by
+        level; each word keeps its index key beside it.  The degree guard
+        aborts the sweep with DegreeGuardExceeded when an entry of a
+        product it builds, reduced, outgrows the bound.  Children join a
+        level parent by parent, in alphabet order, so each level is
+        already length-lex ordered.  Before it builds a level, the sweep
+        raises ValueError if the full freely reduced ball through that
+        level would hold more than MAX_BALL_WORDS words; a caller that
+        stops early never meets the limit.
         """
         alphabet = tuple(self.letter_index.items())
         level = [(Word(), (), FracMatrix.identity(self.size))]
@@ -207,7 +206,7 @@ class RepTable:
                     if key and key[-1] == i ^ 1:
                         continue
                     child = key + (i,)
-                    if representative_prefixes and not is_representative_prefix(child):
+                    if not is_representative_prefix(child):
                         continue
                     extended = Word.from_reduced(word.letters + (letter,))
                     nxt.append((extended, child, self._times(image, letter, lambda: extended)))
@@ -218,11 +217,12 @@ class RepTable:
         """(word, image) for the length-lex first word of each class in the ball.
 
         Classes are conjugacy classes up to inversion, as translation
-        lengths and periods are invariant under both.  The sweep builds
-        only the images of prefixes of class representatives, so the
-        degree guard sees those products alone.
+        lengths and periods are invariant under both.  The representatives
+        are the words of `iter_ball` that `is_class_representative`
+        accepts, so the degree guard sees only the products of their
+        prefixes.
         """
-        for word, image in self.iter_ball(radius, representative_prefixes=True):
+        for word, image in self.iter_ball(radius):
             if is_class_representative(word, self.letter_index):
                 yield word, image
 

@@ -133,16 +133,28 @@ def subresultant_gcd(a, b):
             h = gpart**d // h ** (d - 1) if d > 1 else gpart
 
 
-def _oracle_ball(rep, radius, identity, letters, product, guard=None):
+def representative_prefix(rep):
+    """The test `RepTable.iter_ball` prunes by, as a predicate on words."""
+    from valrep.words import is_representative_prefix
+
+    index = rep.letter_index
+    return lambda word: is_representative_prefix(tuple(index[l] for l in word.letters))
+
+
+def _oracle_ball(rep, radius, identity, letters, product, guard=None, pruned=False):
     """(word, image) over the freely reduced ball, products shared level by level.
 
     Each extension is built as a freely reduced Word.  Length-lex order
     over the free generators (g before g^-1, generators in their listed
     order); `letters` maps (name, +-1) to its image and `guard(word,
-    image)` sees every product.
+    image)` sees every product.  With `pruned`, the full ball is still
+    built, but only its words that pass `representative_prefix` are
+    guarded and yielded: the filtered ball that `RepTable.iter_ball`
+    must match.
     """
     from valrep.words import Word
 
+    keep = representative_prefix(rep) if pruned else (lambda word: True)
     gens = rep.free_generators
     rank = {letter: i for i, letter in enumerate((g, e) for g in gens for e in (1, -1))}
     level = {Word(): identity}
@@ -154,17 +166,19 @@ def _oracle_ball(rep, radius, identity, letters, product, guard=None):
                     continue
                 extended = Word(word.letters + (letter,))
                 nxt[extended] = product(image, letters[letter])
-                if guard is not None:
+                if guard is not None and keep(extended):
                     guard(extended, nxt[extended])
         for word in sorted(nxt, key=lambda w: [rank[l] for l in w.letters]):
-            yield word, nxt[word]
+            if keep(word):
+                yield word, nxt[word]
         level = nxt
 
 
-def ratfunc_ball(rep, radius, degree_bound=None):
+def ratfunc_ball(rep, radius, degree_bound=None, pruned=False):
     """(word, matrix) over the freely reduced ball by canonical Q(X) products.
 
-    The degree guard reads the reduced entries.
+    The degree guard reads the reduced entries; `pruned` filters the ball
+    as `_oracle_ball` does.
     """
     from valrep.fields import ONE
     from valrep.linalg import Matrix
@@ -182,7 +196,7 @@ def ratfunc_ball(rep, radius, degree_bound=None):
             raise DegreeGuardExceeded(word, deg, degree_bound)
 
     identity = Matrix.identity(rep.size, ONE)
-    return _oracle_ball(rep, radius, identity, letters, lambda a, b: a @ b, guard)
+    return _oracle_ball(rep, radius, identity, letters, lambda a, b: a @ b, guard, pruned)
 
 
 def poly_matrix_product(a, b):
@@ -194,11 +208,12 @@ def poly_matrix_product(a, b):
     ]
 
 
-def poly_matrix_ball(rep, radius):
+def poly_matrix_ball(rep, radius, pruned=False):
     """(word, (N rows, D)) over the freely reduced ball by Poly-matrix products.
 
     Starts from the cleared generator images N/D and multiplies N's
-    entrywise with `poly_matrix_product` and D's as Polys.
+    entrywise with `poly_matrix_product` and D's as Polys; `pruned`
+    filters the ball as `_oracle_ball` does.
     """
     letters = {letter: (image.num.entries, image.den) for letter, image in rep.letters.items()}
     n = rep.size
@@ -207,7 +222,7 @@ def poly_matrix_ball(rep, radius):
     def product(x, y):
         return poly_matrix_product(x[0], y[0]), x[1] * y[1]
 
-    return _oracle_ball(rep, radius, identity, letters, product)
+    return _oracle_ball(rep, radius, identity, letters, product, pruned=pruned)
 
 
 def ratfunc_translation_length(matrix, valuation):
@@ -583,7 +598,7 @@ def ball_multicurve_certificate(rep, max_len, k_max=16):
     """multicurve_certificate_ball from the image of every word of the full ball.
 
     Each class's period is read from the first word of the class that
-    `iter_ball` meets, and reused for its later members.
+    `frac_ball` meets, and reused for its later members.
     """
     from valrep.currents import certify_period_values
     from valrep.spectra import NORM_SUM, translation_length
@@ -591,7 +606,7 @@ def ball_multicurve_certificate(rep, max_len, k_max=16):
 
     class_periods = {}
     periods = []
-    for word, image in rep.iter_ball(max_len):
+    for word, image in frac_ball(rep, max_len):
         key = conjugacy_key(word, rep.letter_index)
         if key not in class_periods:
             class_periods[key] = translation_length(image, rep.valuation, NORM_SUM)
@@ -617,11 +632,13 @@ def with_degree_bound(rep, bound):
     )
 
 
-def frac_ball(rep, radius, degree_bound=None):
+def frac_ball(rep, radius, degree_bound=None, pruned=False):
     """(word, FracMatrix) over the freely reduced ball, by `_oracle_ball`.
 
-    The degree guard raises DegreeGuardExceeded at the first product whose
-    reduced entries outgrow the bound, as `RepTable.iter_ball` does.
+    The degree guard raises DegreeGuardExceeded at the first guarded
+    product whose reduced entries outgrow the bound, as
+    `RepTable.iter_ball` does; `pruned` filters the ball as
+    `_oracle_ball` does.
     """
     from valrep.linalg import FracMatrix
     from valrep.representation import DegreeGuardExceeded
@@ -632,7 +649,7 @@ def frac_ball(rep, radius, degree_bound=None):
             raise DegreeGuardExceeded(word, deg, degree_bound)
 
     identity = FracMatrix.identity(rep.size)
-    return _oracle_ball(rep, radius, identity, rep.letters, lambda a, b: a @ b, guard)
+    return _oracle_ball(rep, radius, identity, rep.letters, lambda a, b: a @ b, guard, pruned)
 
 
 def qx_from_matrix(m):

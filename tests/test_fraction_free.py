@@ -374,7 +374,7 @@ CASES = [
 def test_fraction_free_sweep_matches_ratfunc_products(name, make, radius):
     rep = make()
     fast = list(rep.iter_ball(radius))
-    slow = list(ratfunc_ball(rep, radius))
+    slow = list(ratfunc_ball(rep, radius, pruned=True))
     assert [w for w, _ in fast] == [w for w, _ in slow]
     for (word, image), (_, matrix) in zip(fast, slow):
         assert image.to_matrix() == matrix, word
@@ -391,7 +391,7 @@ PACKED_CASES = [(name, make, 5) for name, make, _ in CASES]
 def test_packed_sweep_matches_poly_matrix_products(name, make, radius):
     rep = make()
     fast = list(rep.iter_ball(radius))
-    slow = list(poly_matrix_ball(rep, radius))
+    slow = list(poly_matrix_ball(rep, radius, pruned=True))
     assert [w for w, _ in fast] == [w for w, _ in slow]
     for (word, image), (_, (num, den)) in zip(fast, slow):
         assert image.num == Matrix(num) and image.den == den, word
@@ -412,7 +412,7 @@ def test_degree_guard_matches_ratfunc_products(name, make, radius):
     outcomes = []
     for bound in range(1, 9):
         fast = _guard_outcome(with_degree_bound(rep, bound).iter_ball(radius))
-        assert fast == _guard_outcome(ratfunc_ball(rep, radius, bound)), bound
+        assert fast == _guard_outcome(ratfunc_ball(rep, radius, bound, pruned=True)), bound
         outcomes.append(fast)
     assert outcomes[0] is not None  # the guard does fire at the smallest bound
 
@@ -432,7 +432,7 @@ def test_degree_guard_ignores_unreduced_degree():
     assert max(p.degree for row in square.num.entries for p in row) == 4
     assert _guard_outcome(ratfunc_ball(rep, 2, 3)) is None
     fired = _guard_outcome(with_degree_bound(rep, 1).iter_ball(2))
-    assert fired is not None and fired == _guard_outcome(ratfunc_ball(rep, 2, 1))
+    assert fired is not None and fired == _guard_outcome(ratfunc_ball(rep, 2, 1, pruned=True))
 
 
 # -- building pseudodistance ----------------------------------------------------

@@ -150,17 +150,20 @@ def test_integrality_soundness_sweep():
 
 
 def test_word_ball_size_is_bounded_per_level(monkeypatch):
-    # the pants ball over c1, c2 holds 4, 16, 52, 160 words through lengths 1 to 4
+    # the pants ball over c1, c2 holds 4, 16, 52, 160 words through lengths 1 to 4;
+    # the limit counts the full ball, although the sweep builds only its pruned tree
     from valrep import representation
 
     rep = pants_rep(ORDER0)
     assert closed_point_verdict(rep, radius=30).kind == "closed"  # its witness is short
     monkeypatch.setattr(representation, "MAX_BALL_WORDS", 52)
-    assert len(list(rep.iter_ball(3))) == 52
+    assert len(list(frac_ball(rep, 3))) == 52
+    tree = [w for w, _ in frac_ball(rep, 3, pruned=True)]
+    assert [w for w, _ in rep.iter_ball(3)] == tree
     built = []
     with pytest.raises(ValueError, match="radius 30 exceeds 52 words: length 4 brings it to 160"):
-        built.extend(rep.iter_ball(30))
-    assert len(built) == 52
+        built.extend(w for w, _ in rep.iter_ball(30))
+    assert built == tree
     assert closed_point_verdict(rep, radius=30).kind == "closed"
 
 
@@ -212,12 +215,14 @@ def _sweep(ball):
 def test_iter_ball_matches_word_built_sweep(make):
     rep = make()
     fast = _sweep(rep.iter_ball(6))
-    assert fast == _sweep(frac_ball(rep, 6))
+    assert fast == _sweep(frac_ball(rep, 6, pruned=True))
     letters = 2 * len(rep.free_generators)
-    assert len(fast) == sum(letters * (letters - 1) ** k for k in range(6))
+    full = len(list(frac_ball(rep, 6)))
+    assert full == sum(letters * (letters - 1) ** k for k in range(6))
+    assert len(fast) < full // 4
     for bound in (1, 2, 4):
         fired = _sweep(with_degree_bound(rep, bound).iter_ball(6))
-        assert fired == _sweep(frac_ball(rep, 6, degree_bound=bound)), bound
+        assert fired == _sweep(frac_ball(rep, 6, degree_bound=bound, pruned=True)), bound
         if bound == 1:
             assert isinstance(fired[-1][0], str)  # the guard fired, naming a word
 
@@ -236,7 +241,7 @@ def test_class_representatives_match_the_filtered_full_ball(name, make, radius):
     rep = make()
     for r in range(1, radius + 1):
         fast = list(rep.class_representatives(r))
-        slow = [(w, im) for w, im in rep.iter_ball(r) if is_class_representative(w, rep.letter_index)]
+        slow = [(w, im) for w, im in frac_ball(rep, r) if is_class_representative(w, rep.letter_index)]
         assert [w for w, _ in fast] == [w for w, _ in slow], r
         for (word, image), (_, expected) in zip(fast, slow):
             assert image.to_matrix() == expected.to_matrix(), word
@@ -251,7 +256,10 @@ def test_class_sweep_builds_only_representative_prefixes(monkeypatch):
     assert len(list(rep.class_representatives(6))) == 117
     assert len(products) == 207
     products.clear()
-    assert len(list(rep.iter_ball(6))) == 1456
+    assert len(list(rep.iter_ball(6))) == 207
+    assert len(products) == 207
+    products.clear()
+    assert len(list(frac_ball(rep, 6))) == 1456
     assert len(products) == 1456
 
 
@@ -259,7 +267,7 @@ def test_degree_guard_under_the_class_sweep():
     # each bound gives the unbounded class list, or names the first word of the
     # pruned tree whose image has a reduced entry of degree above the bound
     rep = pants_rep(ORDER0)
-    tree = list(rep.iter_ball(6, representative_prefixes=True))
+    tree = list(rep.iter_ball(6))
     classes = [w for w, _ in rep.class_representatives(6)]
     fired = []
     for bound in range(1, 9):
