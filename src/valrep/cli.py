@@ -149,6 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_input(args) -> dict:
+    if args.inline_json is not None and args.input is not None:
+        raise InputError("give --input FILE or --json INLINE, not both")
     if args.inline_json is not None:
         raw = args.inline_json
     elif args.input is not None:

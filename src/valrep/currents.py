@@ -36,7 +36,8 @@ framing needed); framing-based periods cross-validate them.  Multicurve
 certificates report the least K with all sampled periods in (1/K)Z.
 Word images, of single words and class sweeps alike, come from the
 RepTable, so its degree guard (`RepTable.degree_bound`) bounds every
-image that is built.
+image that is built.  A class sweep yields each representative's key
+too, and the multicurve listing walks the ball with no images.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .representation import RepTable
 from .spectra import NORM_SUM, translation_length
 from .symplectic import TransversalityError, pairing_matrix
 from .valuation import INFINITY, Valuation, Value
-from .words import Word, conjugacy_key, is_key_power, word_ball
+from .words import Word, ball_levels, conjugacy_key, is_key_power
 
 Label = Hashable
 
@@ -250,22 +251,23 @@ def multicurve_certificate_ball(
     """Certificate over every freely reduced word up to max_len.
 
     Periods are conjugation- and inversion-invariant, so each class is
-    computed once, from the image of its representative, and reused for
-    all its members.  Only the class sweep builds images; the words are
-    then listed without any.
+    computed once, from the image of its representative, under the
+    representative's key (its class's conjugacy key).  Only the class
+    sweep builds images; the same walk, `words.ball_levels`, then lists
+    the ball without any, and each word's conjugacy key finds its period.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    index = rep.letter_index
     class_periods = {
-        conjugacy_key(word, index): translation_length(image, rep.valuation, NORM_SUM)
-        for word, image in rep.class_representatives(max_len)
+        key: translation_length(image, rep.valuation, NORM_SUM)
+        for _, key, image in rep.class_representatives(max_len)
     }
     periods = [
-        (word, class_periods[conjugacy_key(word, index)])
-        for word in word_ball(rep.free_generators, max_len)
+        (word, class_periods[conjugacy_key(key)])
+        for level in ball_levels(rep.free_generators, max_len)
+        for word, key in level
     ]
     return certify_period_values(periods, k_max)
 
@@ -288,16 +290,22 @@ def systole_sweep(
     radius: int,
     boundary_words: Sequence[Word] = (),
 ) -> SystoleReport:
+    """Least translation length over the class representatives up to radius.
+
+    Classes of powers of a boundary word or its inverse are skipped.  The
+    boundary words are keyed once; each representative's key, its class's
+    conjugacy key, comes from the sweep.  The sweep stops at length 0.
+    """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     index = rep.letter_index
-    # keyed once per sweep; as in is_power_of_class, a base outside index matches nothing
-    bases = [conjugacy_key(b, index) for b in boundary_words if set(b.letters) <= index.keys()]
+    # as in is_power_of_class, a base outside index matches nothing
+    inside = [b for b in boundary_words if set(b.letters) <= index.keys()]
+    bases = [conjugacy_key(tuple(index[letter] for letter in b.letters)) for b in inside]
     best = None
     witness = None
     swept = 0
-    for word, image in rep.class_representatives(radius):
-        key = conjugacy_key(word, index)
+    for word, key, image in rep.class_representatives(radius):
         if any(is_key_power(key, base) for base in bases):
             continue
         swept += 1

@@ -6,9 +6,10 @@ to plus or minus the identity.  Class sweeps visit one word per
 conjugacy class (translation length is a class function, invariant
 under inversion), its length-lexicographic first one, which keeps the
 reported first witness equal to the length-lexicographic first one.
-The one word sweep (`iter_ball`) shares prefix products level by level
-and multiplies only prefixes of such representatives
-(`words.is_representative_prefix`).
+The one word sweep (`iter_ball`) builds images on the ball's one walk,
+`words.ball_levels`, shares prefix products level by level, multiplies
+only prefixes of such representatives (`words.is_representative_prefix`)
+and yields each word's key beside it, so no caller re-keys a word.
 
 Word images are fraction-free: each generator is cleared once to a
 FracMatrix N/D (N over Z[X], D in Z[X]).  Its inverse letter is the
@@ -46,10 +47,9 @@ from .fields import OrderSpec, RatFunc
 from .linalg import FracMatrix, Matrix
 from .spectra import NORM_SUM, translation_length
 from .valuation import Valuation
-from .words import Word, is_class_representative, is_representative_prefix, letter_index
-
-
-MAX_BALL_WORDS = 2**16  # the largest word ball a sweep builds: radius 9 over two generators
+from .words import (
+    Key, Word, ball_levels, is_class_representative, is_representative_prefix, letter_index,
+)
 
 
 class RepresentationError(ValueError):
@@ -173,58 +173,41 @@ class RepTable:
 
     # -- word sweeps -----------------------------------------------------
 
-    def iter_ball(self, radius: int) -> Iterator[tuple[Word, FracMatrix]]:
-        """(word, image) over the prefixes of class representatives, length-lex order.
+    def iter_ball(self, radius: int) -> Iterator[tuple[Word, Key, FracMatrix]]:
+        """(word, key, image) over the prefixes of class representatives, length-lex order.
 
-        The words are those of length 1 to radius over the free
-        generators whose index key passes `is_representative_prefix`: a
-        child that fails it is neither built nor extended, so the sweep
-        multiplies only prefixes of class representatives.  Images are
-        fraction-free FracMatrix products, shared along prefixes level by
-        level; each word keeps its index key beside it.  The degree guard
-        aborts the sweep with DegreeGuardExceeded when an entry of a
-        product it builds, reduced, outgrows the bound.  Children join a
-        level parent by parent, in alphabet order, so each level is
-        already length-lex ordered.  Before it builds a level, the sweep
-        raises ValueError if the full freely reduced ball through that
-        level would hold more than MAX_BALL_WORDS words; a caller that
-        stops early never meets the limit.
+        The image layer on the walk `words.ball_levels`, which lists the
+        words of length 1 to radius over the free generators, each with
+        its index key, and drops every child whose key fails
+        `is_representative_prefix`; so the sweep multiplies only prefixes
+        of class representatives.  Images are fraction-free FracMatrix
+        products, each its parent's image times its last letter's.  All
+        of a level's images are built under the degree guard, which
+        raises DegreeGuardExceeded when an entry of a product, reduced,
+        outgrows the bound, before any word of that level is yielded.
+        The walk's MAX_BALL_WORDS limit raises ValueError before a level
+        is built.
         """
-        alphabet = tuple(self.letter_index.items())
-        level = [(Word(), (), FracMatrix.identity(self.size))]
-        words = 0
-        for length in range(1, radius + 1):
-            words += len(alphabet) * (len(alphabet) - 1) ** (length - 1)  # the full ball's level
-            if words > MAX_BALL_WORDS:
-                raise ValueError(
-                    f"word ball of radius {radius} exceeds {MAX_BALL_WORDS} words: "
-                    f"length {length} brings it to {words}"
-                )
-            nxt = []
-            for word, key, image in level:
-                for letter, i in alphabet:
-                    if key and key[-1] == i ^ 1:
-                        continue
-                    child = key + (i,)
-                    if not is_representative_prefix(child):
-                        continue
-                    extended = Word.from_reduced(word.letters + (letter,))
-                    nxt.append((extended, child, self._times(image, letter, lambda: extended)))
-            yield from ((word, image) for word, _, image in nxt)
-            level = nxt
+        images = {(): FracMatrix.identity(self.size)}
+        for level in ball_levels(self.free_generators, radius, is_representative_prefix):
+            images = {
+                key: self._times(images[key[:-1]], word.letters[-1], lambda: word)
+                for word, key in level
+            }
+            yield from ((word, key, images[key]) for word, key in level)
 
-    def class_representatives(self, radius: int) -> Iterator[tuple[Word, FracMatrix]]:
-        """(word, image) for the length-lex first word of each class in the ball.
+    def class_representatives(self, radius: int) -> Iterator[tuple[Word, Key, FracMatrix]]:
+        """(word, key, image) for the length-lex first word of each class in the ball.
 
         Classes are conjugacy classes up to inversion, as translation
         lengths and periods are invariant under both.  The representatives
-        are the words of `iter_ball` that `is_class_representative`
+        are the words of `iter_ball` whose key `is_class_representative`
         accepts, so the degree guard sees only the products of their
-        prefixes.
+        prefixes.  A representative's key is its class's conjugacy key.
         """
-        for word, image in self.iter_ball(radius):
-            if is_class_representative(word, self.letter_index):
-                yield word, image
+        for word, key, image in self.iter_ball(radius):
+            if is_class_representative(key):
+                yield word, key, image
 
 
 # -- closed-point verdicts ---------------------------------------------------
@@ -297,7 +280,7 @@ def closed_point_verdict(
     cert = integrality_certificate(rep)
     if cert is not None:
         return NotClosedIntegral(cert)
-    for word, image in rep.class_representatives(radius):
+    for word, _, image in rep.class_representatives(radius):
         length = translation_length(image, rep.valuation, NORM_SUM)
         if length > 0:
             return ClosedPoint(word, length)
@@ -308,5 +291,5 @@ def sweep_translation_lengths(rep: RepTable, radius: int) -> list[tuple[Word, Fr
     """Translation length per conjugacy-class representative up to radius."""
     return [
         (w, translation_length(image, rep.valuation, NORM_SUM))
-        for w, image in rep.class_representatives(radius)
+        for w, _, image in rep.class_representatives(radius)
     ]

@@ -1,17 +1,20 @@
-"""Freely reduced words over a generating set, and word-ball enumeration.
+"""Freely reduced words over a generating set, and the one word-ball walk.
 
 A word is a tuple of (generator name, +1 or -1) letters with no adjacent
 inverse pair.  Enumeration order everywhere is length-lexicographic with
 the letter order c, c^-1 per generator in presentation order, which keeps
-sweeps and reported witnesses deterministic.
+sweeps and reported witnesses deterministic.  `ball_levels` is the only
+walk of the ball: it lists each word beside its key, its tuple of letter
+indices, and the class tests read those keys, never the words.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Letter = tuple[str, int]
+Key = tuple[int, ...]  # a word as letter indices, see `letter_index`
 
 
 class Word:
@@ -73,6 +76,7 @@ def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
 
 _TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?")
 MAX_WORD_LETTERS = 4096  # bounds the memory and product count one exponent can ask for
+MAX_BALL_WORDS = 2**16  # the largest word ball a sweep builds: radius 9 over two generators
 
 
 def parse_word(text: str) -> Word:
@@ -130,60 +134,61 @@ def letter_index(generators: Sequence[str]) -> dict[Letter, int]:
 
     The inverse of a letter index k is k ^ 1, so a word's inverse is the
     reversed tuple with every index flipped.  The key functions below
-    take this map, built once per generator tuple.
+    take keys by this map, which `ball_levels` lists beside each word.
     """
     return {letter: i for i, letter in enumerate(letter_alphabet(generators))}
 
 
-def words_of_length(generators: Sequence[str], length: int) -> Iterator[Word]:
-    """Freely reduced words of exactly this length, in lexicographic order."""
-    alphabet = letter_alphabet(generators)
-    if length == 0:
-        yield Word()
-        return
+def ball_levels(
+    generators: Sequence[str], radius: int, keep: Callable[[Key], bool] | None = None
+) -> Iterator[list[tuple[Word, Key]]]:
+    """Levels 1 to radius of the freely reduced ball, each a length-lex list of (word, key).
 
-    def extend(prefix: list[Letter]):
-        if len(prefix) == length:
-            yield Word.from_reduced(tuple(prefix))
-            return
-        for letter in alphabet:
-            if prefix and prefix[-1][0] == letter[0] and prefix[-1][1] == -letter[1]:
-                continue
-            prefix.append(letter)
-            yield from extend(prefix)
-            prefix.pop()
-
-    yield from extend([])
-
-
-def word_ball(generators: Sequence[str], radius: int) -> Iterator[Word]:
-    """All freely reduced words of length 1 to radius, in length-lex order."""
-    for length in range(1, radius + 1):
-        yield from words_of_length(generators, length)
-
-
-def conjugacy_key(word: Word, index: dict[Letter, int]) -> tuple:
-    """Canonical key of the conjugacy class of word and its inverse.
-
-    Cyclic reduction followed by the lex-least rotation among the word's
-    rotations and its inverse's rotations, all as tuples of letter indices
-    (see `letter_index`).
+    A child whose key fails `keep` is neither listed nor extended.
+    Children join a level parent by parent, in alphabet order, so each
+    level is already length-lex ordered.  Before it builds a level, the
+    walk raises ValueError if the full ball through that level would
+    hold more than MAX_BALL_WORDS words; a caller that stops early never
+    meets the limit.
     """
-    key = tuple(index[letter] for letter in word.letters)
+    alphabet = tuple(enumerate(letter_alphabet(generators)))
+    level = [(Word(), ())]
+    words = 0
+    for length in range(1, radius + 1):
+        words += len(alphabet) * (len(alphabet) - 1) ** (length - 1)  # the full ball's level
+        if words > MAX_BALL_WORDS:
+            raise ValueError(
+                f"word ball of radius {radius} exceeds {MAX_BALL_WORDS} words: "
+                f"length {length} brings it to {words}"
+            )
+        level = [
+            (Word.from_reduced(word.letters + (letter,)), key + (i,))
+            for word, key in level
+            for i, letter in alphabet
+            if not (key and key[-1] == i ^ 1) and (keep is None or keep(key + (i,)))
+        ]
+        yield level
+
+
+def conjugacy_key(key: Key) -> Key:
+    """Canonical key of the conjugacy class of a word and its inverse, from its key.
+
+    Cyclic reduction followed by the lex-least rotation among the key's
+    rotations and its inverse's rotations.
+    """
     while len(key) >= 2 and key[0] == key[-1] ^ 1:
         key = key[1:-1]
     return min(_rotations(key), default=())
 
 
-def is_class_representative(word: Word, index: dict[Letter, int]) -> bool:
-    """True when `word` is the length-lex first member of its class."""
-    key = tuple(index[letter] for letter in word.letters)
+def is_class_representative(key: Key) -> bool:
+    """True when the word keyed `key` is the length-lex first member of its class."""
     if len(key) >= 2 and key[0] == key[-1] ^ 1:
         return False  # not cyclically reduced
     return not any(rot < key for rot in _rotations(key))
 
 
-def is_representative_prefix(key: tuple[int, ...]) -> bool:
+def is_representative_prefix(key: Key) -> bool:
     """Can a freely reduced extension of `key` be a class representative?
 
     False when a factor of key starting at a position i >= 1, or a suffix
@@ -201,7 +206,7 @@ def is_representative_prefix(key: tuple[int, ...]) -> bool:
     )
 
 
-def _rotations(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _rotations(key: Key) -> Iterator[Key]:
     """Every rotation of a cyclically reduced key and of its inverse."""
     inverse = tuple(k ^ 1 for k in reversed(key))
     for k in (key, inverse):
@@ -216,7 +221,8 @@ def is_power_of_class(word: Word, base: Word, index: dict[Letter, int]) -> bool:
     """
     if any(letter not in index for letter in base.letters):
         return False
-    return is_key_power(conjugacy_key(word, index), conjugacy_key(base, index))
+    word_key, base_key = (tuple(index[letter] for letter in w.letters) for w in (word, base))
+    return is_key_power(conjugacy_key(word_key), conjugacy_key(base_key))
 
 
 def is_key_power(key: tuple, base_key: tuple) -> bool:

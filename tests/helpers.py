@@ -141,6 +141,17 @@ def representative_prefix(rep):
     return lambda word: is_representative_prefix(tuple(index[l] for l in word.letters))
 
 
+def unkeyed(rep, sweep):
+    """(word, image) from a sweep's (word, key, image), checking each key.
+
+    The key must be the word's tuple of letter indices under
+    `rep.letter_index`.
+    """
+    for word, key, image in sweep:
+        assert key == tuple(rep.letter_index[l] for l in word.letters), word
+        yield word, image
+
+
 def _oracle_ball(rep, radius, identity, letters, product, guard=None, pruned=False):
     """(word, image) over the freely reduced ball, products shared level by level.
 
@@ -604,10 +615,11 @@ def ball_multicurve_certificate(rep, max_len, k_max=16):
     from valrep.spectra import NORM_SUM, translation_length
     from valrep.words import conjugacy_key
 
+    index = rep.letter_index
     class_periods = {}
     periods = []
     for word, image in frac_ball(rep, max_len):
-        key = conjugacy_key(word, rep.letter_index)
+        key = conjugacy_key(tuple(index[l] for l in word.letters))
         if key not in class_periods:
             class_periods[key] = translation_length(image, rep.valuation, NORM_SUM)
         periods.append((word, class_periods[key]))

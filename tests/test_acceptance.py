@@ -38,7 +38,7 @@ from valrep.representation import (
 from valrep.spectra import NORM_SUM, building_pseudodistance, jordan_valuation
 from valrep.symplectic import Lagrangian, crossratio, is_symplectic, maslov, symplectic_inverse
 from valrep.valuation import Valuation
-from valrep.words import Word, parse_word, word_ball
+from valrep.words import Word, ball_levels, parse_word
 
 from test_symplectic import random_lagrangian, random_symplectic
 from test_spectra import random_symplectic_ratfunc
@@ -151,7 +151,7 @@ def test_criterion_4_numeric_oracle():
     rep = pants_rep(ORDER0)
     rng = random.Random(2024)
     words = []
-    pool = list(word_ball(("c1", "c2"), 5))
+    pool = [w for level in ball_levels(("c1", "c2"), 5) for w, _ in level]
     rng.shuffle(pool)
     for w in pool:
         words.append(w)

@@ -472,6 +472,21 @@ def test_flags_the_input_does_not_read_are_input_errors(command, case, capsys):
     assert capsys.readouterr().out == _error_report(message)
 
 
+@pytest.mark.parametrize("command", ["closed-point", "multicurve", "symplectic-check"])
+def test_input_and_json_together_are_an_input_error(command, tmp_path, capsys):
+    # neither source wins: the file is refused whether or not it can be read
+    from valrep import cli
+
+    payload = json.dumps({"representation": "pants", "order": "aplus:1"})
+    readable = tmp_path / "input.json"
+    readable.write_text(payload)
+    for path in (readable, tmp_path / "missing.json"):
+        assert cli.main([command, "--json", payload, "--input", str(path)]) == 2
+        assert capsys.readouterr().out == _error_report(
+            "give --input FILE or --json INLINE, not both"
+        )
+
+
 def test_pants_shortcut_defaults_to_aplus_0(capsys):
     from valrep import cli
 

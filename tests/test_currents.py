@@ -29,7 +29,7 @@ from valrep.pants import boundary_words, pants_rep
 from valrep.representation import GroupPresentation, RepTable
 from valrep.symplectic import Lagrangian, TransversalityError, symplectic_inverse
 from valrep.valuation import Valuation
-from valrep.words import Word, is_power_of_class, parse_word
+from valrep.words import Word, ball_levels, is_power_of_class, parse_word
 
 from helpers import ball_multicurve_certificate
 from test_symplectic import random_symplectic
@@ -310,7 +310,7 @@ def test_systole_sweep_pants():
     bases = [*boundary_words(), parse_word("c3")]
     kept = [
         w
-        for w, _ in rep.class_representatives(3)
+        for w, _, _ in rep.class_representatives(3)
         if not any(is_power_of_class(w, b, rep.letter_index) for b in bases)
     ]
     assert systole_sweep(rep, 3, bases).classes_swept == len(kept) == report.classes_swept
@@ -319,6 +319,24 @@ def test_systole_sweep_pants():
     assert flat.value == 0
     with pytest.raises(ValueError):
         systole_sweep(rep, 0, boundary_words())
+
+
+def test_sweeps_key_no_representative(monkeypatch):
+    # a representative's key comes from the sweep, so the systole sweep keys only
+    # its 3 boundary words, and the multicurve listing keys each ball word once
+    from valrep import currents
+
+    keyed = []
+    conjugacy_key = currents.conjugacy_key
+    monkeypatch.setattr(currents, "conjugacy_key", lambda k: keyed.append(k) or conjugacy_key(k))
+    rep = pants_rep(OrderSpec.plus_infinity())
+    systole_sweep(rep, 6, boundary_words())
+    assert keyed == [tuple(rep.letter_index[l] for l in b.letters) for b in boundary_words()]
+    keyed.clear()
+    rep = pants_rep(ORDER0)
+    multicurve_certificate_ball(rep, 6)
+    ball = [key for level in ball_levels(rep.free_generators, 6) for _, key in level]
+    assert len(keyed) == 1456 and keyed == ball
 
 
 def test_lamination_dichotomy():

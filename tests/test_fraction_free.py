@@ -42,6 +42,7 @@ from helpers import (
     ratfunc_spread_length,
     ratfunc_translation_length,
     unipotent,
+    unkeyed,
     with_degree_bound,
 )
 
@@ -375,10 +376,10 @@ def test_fraction_free_sweep_matches_ratfunc_products(name, make, radius):
     rep = make()
     fast = list(rep.iter_ball(radius))
     slow = list(ratfunc_ball(rep, radius, pruned=True))
-    assert [w for w, _ in fast] == [w for w, _ in slow]
-    for (word, image), (_, matrix) in zip(fast, slow):
+    assert [w for w, _, _ in fast] == [w for w, _ in slow]
+    for (word, key, image), (_, matrix) in zip(fast, slow):
         assert image.to_matrix() == matrix, word
-        if is_class_representative(word, rep.letter_index):
+        if is_class_representative(key):
             assert translation_length(image, rep.valuation, NORM_SUM) == (
                 ratfunc_translation_length(matrix, rep.valuation)
             ), word
@@ -390,7 +391,7 @@ PACKED_CASES = [(name, make, 5) for name, make, _ in CASES]
 @pytest.mark.parametrize("name,make,radius", PACKED_CASES, ids=[c[0] for c in PACKED_CASES])
 def test_packed_sweep_matches_poly_matrix_products(name, make, radius):
     rep = make()
-    fast = list(rep.iter_ball(radius))
+    fast = list(unkeyed(rep, rep.iter_ball(radius)))
     slow = list(poly_matrix_ball(rep, radius, pruned=True))
     assert [w for w, _ in fast] == [w for w, _ in slow]
     for (word, image), (_, (num, den)) in zip(fast, slow):
@@ -427,7 +428,7 @@ def test_degree_guard_ignores_unreduced_degree():
         GroupPresentation(("a",), ()), {"a": a}, OrderSpec.at_plus(0), Valuation.adic(0),
         degree_bound=3,
     )
-    images = dict(rep.iter_ball(2))
+    images = dict(unkeyed(rep, rep.iter_ball(2)))
     square = rep.image(next(w for w in images if len(w) == 2))
     assert max(p.degree for row in square.num.entries for p in row) == 4
     assert _guard_outcome(ratfunc_ball(rep, 2, 3)) is None

@@ -22,9 +22,9 @@ from valrep.representation import (
     sweep_translation_lengths,
 )
 from valrep.valuation import INFINITY, Valuation
-from valrep.words import Word, is_class_representative, parse_word
+from valrep.words import Word, ball_levels, is_class_representative, parse_word
 
-from helpers import frac_ball, generic_rep, with_degree_bound
+from helpers import frac_ball, generic_rep, rotation_conjugacy_key, unkeyed, with_degree_bound
 
 ORDER0 = OrderSpec.at_plus(0)
 ADIC0 = Valuation.adic(0)
@@ -80,10 +80,9 @@ def test_image_names_a_generator_outside_the_presentation():
 def test_trace_is_class_function():
     rep = pants_rep(ORDER0)
     rng = random.Random(3)
-    from valrep.words import words_of_length
-
-    pool = list(words_of_length(("c1", "c2"), 2)) + list(words_of_length(("c1", "c2"), 3))
-    conjugators = list(words_of_length(("c1", "c2"), 1)) + list(words_of_length(("c1", "c2"), 2))
+    levels = [[w for w, _ in level] for level in ball_levels(("c1", "c2"), 3)]
+    pool = levels[1] + levels[2]
+    conjugators = levels[0] + levels[1]
     trace_cache = {}
     for _ in range(1000):
         w = rng.choice(pool)
@@ -95,7 +94,7 @@ def test_trace_is_class_function():
 
 def test_trace_valuation_sample():
     rep = pants_rep(ORDER0)
-    sample = {word: rep.valuation.of(image.trace()) for word, image in rep.iter_ball(2)}
+    sample = {word: rep.valuation.of(image.trace()) for word, _, image in rep.iter_ball(2)}
     assert rep.valuation.of(rep.trace(Word())) == 0  # trace 4, valuation 0
     assert sample[parse_word("c1")] == 0  # unipotent, trace 4
     assert sample[parse_word("c1 c2^-1")] == 0  # hyperbolic, but trace is constant 20
@@ -152,17 +151,17 @@ def test_integrality_soundness_sweep():
 def test_word_ball_size_is_bounded_per_level(monkeypatch):
     # the pants ball over c1, c2 holds 4, 16, 52, 160 words through lengths 1 to 4;
     # the limit counts the full ball, although the sweep builds only its pruned tree
-    from valrep import representation
+    from valrep import words
 
     rep = pants_rep(ORDER0)
     assert closed_point_verdict(rep, radius=30).kind == "closed"  # its witness is short
-    monkeypatch.setattr(representation, "MAX_BALL_WORDS", 52)
+    monkeypatch.setattr(words, "MAX_BALL_WORDS", 52)
     assert len(list(frac_ball(rep, 3))) == 52
     tree = [w for w, _ in frac_ball(rep, 3, pruned=True)]
-    assert [w for w, _ in rep.iter_ball(3)] == tree
+    assert [w for w, _, _ in rep.iter_ball(3)] == tree
     built = []
     with pytest.raises(ValueError, match="radius 30 exceeds 52 words: length 4 brings it to 160"):
-        built.extend(w for w, _ in rep.iter_ball(30))
+        built.extend(w for w, _, _ in rep.iter_ball(30))
     assert built == tree
     assert closed_point_verdict(rep, radius=30).kind == "closed"
 
@@ -214,14 +213,15 @@ def _sweep(ball):
 )
 def test_iter_ball_matches_word_built_sweep(make):
     rep = make()
-    fast = _sweep(rep.iter_ball(6))
+    fast = _sweep(unkeyed(rep, rep.iter_ball(6)))
     assert fast == _sweep(frac_ball(rep, 6, pruned=True))
     letters = 2 * len(rep.free_generators)
     full = len(list(frac_ball(rep, 6)))
     assert full == sum(letters * (letters - 1) ** k for k in range(6))
     assert len(fast) < full // 4
     for bound in (1, 2, 4):
-        fired = _sweep(with_degree_bound(rep, bound).iter_ball(6))
+        guarded = with_degree_bound(rep, bound)
+        fired = _sweep(unkeyed(guarded, guarded.iter_ball(6)))
         assert fired == _sweep(frac_ball(rep, 6, degree_bound=bound, pruned=True)), bound
         if bound == 1:
             assert isinstance(fired[-1][0], str)  # the guard fired, naming a word
@@ -239,11 +239,16 @@ CLASS_SWEEPS = [
 @pytest.mark.parametrize("name,make,radius", CLASS_SWEEPS, ids=[c[0] for c in CLASS_SWEEPS])
 def test_class_representatives_match_the_filtered_full_ball(name, make, radius):
     rep = make()
+    index = rep.letter_index
     for r in range(1, radius + 1):
         fast = list(rep.class_representatives(r))
-        slow = [(w, im) for w, im in frac_ball(rep, r) if is_class_representative(w, rep.letter_index)]
-        assert [w for w, _ in fast] == [w for w, _ in slow], r
-        for (word, image), (_, expected) in zip(fast, slow):
+        slow = [
+            (w, im) for w, im in frac_ball(rep, r)
+            if is_class_representative(tuple(index[l] for l in w.letters))
+        ]
+        assert [w for w, _, _ in fast] == [w for w, _ in slow], r
+        for (word, key, image), (_, expected) in zip(fast, slow):
+            assert key == rotation_conjugacy_key(word, rep.free_generators), word
             assert image.to_matrix() == expected.to_matrix(), word
 
 
@@ -267,12 +272,13 @@ def test_degree_guard_under_the_class_sweep():
     # each bound gives the unbounded class list, or names the first word of the
     # pruned tree whose image has a reduced entry of degree above the bound
     rep = pants_rep(ORDER0)
-    tree = list(rep.iter_ball(6))
-    classes = [w for w, _ in rep.class_representatives(6)]
+    tree = list(unkeyed(rep, rep.iter_ball(6)))
+    classes = [w for w, _, _ in rep.class_representatives(6)]
     fired = []
     for bound in range(1, 9):
         try:
-            assert [w for w, _ in with_degree_bound(rep, bound).class_representatives(6)] == classes
+            swept = with_degree_bound(rep, bound).class_representatives(6)
+            assert [w for w, _, _ in swept] == classes
         except DegreeGuardExceeded as err:
             degrees = [image.degree_over(bound) for _, image in tree]
             first = next(i for i, d in enumerate(degrees) if d is not None)

@@ -1,7 +1,9 @@
 """Static checks of the source tree, read with `ast`.
 
-Every import in a `src/valrep` module (apart from the package's own
-re-exports in `__init__.py`) is used by that module, no module imports
+Every `src/valrep` module parses as Python 3.10, `pyproject.toml`'s
+requires-python floor.  Every import in a `src/valrep` module (apart
+from the package's own re-exports in `__init__.py`) is used by that
+module, no module imports
 sympy, which is a test-only dependency, every callable
 that `perfbench/tracer.py` times, listed in its `TARGETS`, still resolves,
 the package `__init__.py` re-exports at least one traced function, and
@@ -26,7 +28,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "valrep").glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted((ROOT / "src" / "valrep").glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def imported_names(tree):
@@ -57,6 +60,14 @@ def used_names(tree):
             if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
                 names |= used_names(ast.parse(ann.value, mode="eval"))
     return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    """pyproject.toml's requires-python floor is 3.10: no module uses later syntax."""
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    assert floor and int(floor.group(1)) == 10, "requires-python moved: update this check"
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

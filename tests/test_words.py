@@ -1,11 +1,15 @@
 """Word reduction, enumeration and conjugacy-class keys."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
+from valrep import words
 from valrep.words import (
     MAX_WORD_LETTERS,
     Word,
+    ball_levels,
     conjugacy_key,
     format_word,
     is_class_representative,
@@ -14,11 +18,10 @@ from valrep.words import (
     letter_alphabet,
     letter_index,
     parse_word,
-    word_ball,
-    words_of_length,
 )
 
 from helpers import (
+    _oracle_ball,
     rotation_conjugacy_key,
     rotation_is_class_representative,
     rotation_is_power_of_class,
@@ -46,33 +49,56 @@ def test_inverse_and_power():
     assert w ** -2 == (w.inverse()) ** 2
 
 
+def key_of(word, index):
+    """A word's index key, built from its letters."""
+    return tuple(index[letter] for letter in word.letters)
+
+
+def ball(generators, radius, keep=None):
+    """(word, key) over the whole walk, level after level."""
+    return [item for level in ball_levels(generators, radius, keep) for item in level]
+
+
 def test_word_counts_match_free_group():
     # 4 * 3^(L-1) freely reduced words of length L over two generators
-    for length in (1, 2, 3, 4, 5):
-        count = sum(1 for _ in words_of_length(("c1", "c2"), length))
-        assert count == 4 * 3 ** (length - 1)
+    levels = [len(level) for level in ball_levels(("c1", "c2"), 5)]
+    assert levels == [4 * 3 ** (length - 1) for length in (1, 2, 3, 4, 5)]
 
 
 def test_ball_is_length_lex_ordered():
-    seen = list(word_ball(("a", "b"), 3))
+    seen = [w for w, _ in ball(("a", "b"), 3)]
     lengths = [len(w) for w in seen]
     assert lengths == sorted(lengths)
     assert len(seen) == 4 + 12 + 36
+
+
+@pytest.mark.parametrize("generators", [("a",), ("a", "b"), ("a", "b", "c")])
+@pytest.mark.parametrize("radius", [1, 2, 3, 4, 5])
+def test_ball_levels_match_the_oracle_ball(generators, radius):
+    # the words of helpers._oracle_ball, in its order, each beside its index tuple;
+    # with the prefix test as `keep`, the same listing filtered by that test
+    index = letter_index(generators)
+    free = SimpleNamespace(free_generators=generators)  # all the unpruned oracle reads
+    images = dict.fromkeys(index)
+    oracle = [w for w, _ in _oracle_ball(free, radius, None, images, lambda a, b: None)]
+    full = ball(generators, radius)
+    assert [w for w, _ in full] == oracle
+    assert all(key == key_of(w, index) for w, key in full)
+    pruned = ball(generators, radius, is_representative_prefix)
+    assert pruned == [(w, key) for w, key in full if is_representative_prefix(key)]
 
 
 def test_conjugacy_key_invariance():
     index = letter_index(("c1", "c2"))
     w = parse_word("c1 c2 c1^-1 c2^-1")
     h = parse_word("c2 c1")
-    assert conjugacy_key(w, index) == conjugacy_key(h * w * h.inverse(), index)
-    assert conjugacy_key(w, index) == conjugacy_key(w.inverse(), index)
+    assert conjugacy_key(key_of(w, index)) == conjugacy_key(key_of(h * w * h.inverse(), index))
+    assert conjugacy_key(key_of(w, index)) == conjugacy_key(key_of(w.inverse(), index))
 
 
 def test_class_representative_unique_per_class():
-    gens = ("c1", "c2")
-    index = letter_index(gens)
-    reps = [w for w in words_of_length(gens, 3) if is_class_representative(w, index)]
-    keys = [conjugacy_key(w, index) for w in reps]
+    length_3 = list(ball_levels(("c1", "c2"), 3))[-1]
+    keys = [conjugacy_key(key) for _, key in length_3 if is_class_representative(key)]
     assert len(keys) == len(set(keys))
 
 
@@ -101,13 +127,14 @@ def test_parse_caps_word_length_before_expanding():
 
 
 @pytest.mark.parametrize("generators", [("a", "b"), ("a", "b", "c")])
-def test_index_tuple_keys_match_rotation_words(generators):
-    # every freely reduced word up to length 7, identity included
-    index = letter_index(generators)
-    for w in [Word(), *word_ball(generators, 7)]:
+def test_index_tuple_keys_match_rotation_words(generators, monkeypatch):
+    # every freely reduced word up to length 7, identity included; the three-generator
+    # ball holds 117,186 words, beyond the sweeps' limit, which this listing need not keep
+    monkeypatch.setattr(words, "MAX_BALL_WORDS", 2**17)
+    for w, index_key in [(Word(), ()), *ball(generators, 7)]:
         key = rotation_conjugacy_key(w, generators)
-        assert conjugacy_key(w, index) == key, w
-        assert is_class_representative(w, index) == (
+        assert conjugacy_key(index_key) == key, w
+        assert is_class_representative(index_key) == (
             rotation_is_class_representative(w, generators, key)
         ), w
 
@@ -120,7 +147,7 @@ def test_power_of_class_keys_match_rotation_words():
     gens = ("c1", "c2")
     index = letter_index(gens)
     bases = [parse_word(text) for text in POWER_BASES]
-    for w in [Word(), *word_ball(gens, 6)]:
+    for w in [Word(), *(w for w, _ in ball(gens, 6))]:
         for base in bases:
             assert is_power_of_class(w, base, index) == rotation_is_power_of_class(w, base, gens), (
                 w, base,
@@ -151,12 +178,13 @@ def test_representative_prefixes_are_sound(generators, count):
     found = []
     for key in representative_candidates(len(alphabet), 8):
         word = Word.from_reduced(tuple(alphabet[i] for i in key))
-        if is_class_representative(word, index):
+        assert key == key_of(word, index)
+        if is_class_representative(key):
             found.append(word)
             assert all(is_representative_prefix(key[:i]) for i in range(1, len(key) + 1)), word
     assert len(found) == count
     if len(generators) == 2:  # the candidates miss no representative
-        full = [w for w in word_ball(generators, 8) if is_class_representative(w, index)]
+        full = [w for w, key in ball(generators, 8) if is_class_representative(key)]
         assert sorted(found, key=lambda w: w.letters) == sorted(full, key=lambda w: w.letters)
 
 
