@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import groupby
 
 from .currents import multicurve_certificate_ball, period_via_length
 from .exprparse import ParseError, parse_ratfunc
@@ -35,9 +36,9 @@ from .spectra import (
     NORM_SPREAD,
     NORM_SUM,
     building_pseudodistance,
-    char_poly_polygon,
-    jordan_from_polygon,
     jordan_valuation,
+    jordan_vector,
+    root_valuations,
     translation_length,
 )
 from .symplectic import Lagrangian, crossratio, is_symplectic, maslov
@@ -392,14 +393,14 @@ def cmd_translength(args) -> dict:
 
 def cmd_jordan(args) -> dict:
     m, valuation = _matrix_or_rep_word(args)
-    polygon = char_poly_polygon(m, valuation)
-    vec = jordan_from_polygon(polygon, m.rows)
+    values = root_valuations(m, valuation)
+    vec = jordan_vector(values)
     return {
         "valuation": valuation.spec_string(),
         "jordan": [frac_str(v) for v in vec],
         "length": frac_str(sum(vec, Fraction(0))),
         "polygon": [
-            {"slope": frac_str(-v), "mult": mult} for v, mult in polygon.root_valuations
+            {"slope": frac_str(-v), "mult": len(list(run))} for v, run in groupby(values)
         ],
     }
 

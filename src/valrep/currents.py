@@ -50,7 +50,7 @@ from typing import Hashable, Sequence
 from .fields import OrderSpec, RatFunc
 from .framing import FramingTable
 from .representation import RepTable
-from .spectra import NORM_SUM, translation_length
+from .spectra import translation_length
 from .symplectic import TransversalityError, pairing_matrix
 from .valuation import INFINITY, Valuation, Value
 from .words import Word, ball_levels, conjugacy_key, is_key_power
@@ -135,7 +135,7 @@ class PeriodReport:
 
 
 def period_via_length(rep: RepTable, word: Word) -> PeriodReport:
-    value = translation_length(rep.image(word), rep.valuation, NORM_SUM)
+    value = translation_length(rep.image(word), rep.valuation)
     return PeriodReport(word, value, "translation_length")
 
 
@@ -239,7 +239,7 @@ def certify_period_values(
     """Least K <= k_max with every period in (1/K)Z, if any."""
     k = 1
     for _, value in periods:
-        k = lcm(k, Fraction(value).denominator)
+        k = lcm(k, value.denominator)
     if k <= k_max:
         return MulticurveCertified(k, tuple(periods))
     return DiscretenessUnknown(k_max, tuple(periods))
@@ -261,7 +261,7 @@ def multicurve_certificate_ball(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     class_periods = {
-        key: translation_length(image, rep.valuation, NORM_SUM)
+        key: translation_length(image, rep.valuation)
         for _, key, image in rep.class_representatives(max_len)
     }
     periods = [
@@ -309,7 +309,7 @@ def systole_sweep(
         if any(is_key_power(key, base) for base in bases):
             continue
         swept += 1
-        value = translation_length(image, rep.valuation, NORM_SUM)
+        value = translation_length(image, rep.valuation)
         if best is None or value < best:
             best, witness = value, word
             if best == 0:

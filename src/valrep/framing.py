@@ -8,10 +8,11 @@ equivariance is checked on the listed symmetries only.
 
 Attracting Lagrangians of hyperbolic elements are computed exactly: g is
 cleared to N/D over Z[X] (`FracMatrix`), char_poly(N) is computed once,
-and its Newton polygon gives the valuations.  char_poly(N) is monic over
-Z[X], which is integrally closed, so its roots in Q(X) lie in Z[X];
-`roots.linear_eigenvalues` finds them with integer arithmetic alone, and
-divided by D they are the eigenvalues of g in Q(X).  The n
+and `spectra.quotient_root_valuations` reads the eigenvalue valuations
+off it and nu(D).  char_poly(N) is monic over Z[X], which is integrally
+closed, so its roots in Q(X) lie in Z[X]; `roots.linear_eigenvalues`
+finds them with integer arithmetic alone, and divided by D they are the
+eigenvalues of g in Q(X).  The n
 valuation-dominant eigenvalues are collected (requiring a strict slope
 gap to the rest), and the span of their eigenspaces is verified to be
 Lagrangian.  Non-split dominant spectrum is reported, never approximated.
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 from typing import Hashable, Iterator, Sequence
 
 from .fields import RatFunc
-from .linalg import FracMatrix, Matrix
+from .linalg import FracMatrix, Matrix, SingularMatrixError
 from .representation import RepTable
 from .roots import NonSplitError, linear_eigenvalues
-from .spectra import quotient_polygon
+from .spectra import quotient_root_valuations
 from .symplectic import Lagrangian, maslov, symplectic_inverse
 from .valuation import Valuation
 from .words import Word
@@ -125,10 +126,11 @@ def attracting_lagrangian(g: Matrix, val: Valuation) -> Lagrangian:
     """Span of the eigenspaces of the n valuation-dominant eigenvalues.
 
     g is cleared once to N/D over Z[X] and char_poly(N) is computed once:
-    the Newton polygon comes from it and nu(D), and the eigenvalues in
-    Q(X) are its roots in Z[X] (`linear_eigenvalues`), divided by D.  Preconditions checked: the
-    dominant block splits over Q(X), there is a strict valuation gap below
-    the remaining spectrum, and the block is diagonalizable (eigenspace
+    the root valuations come from it and nu(D), and the eigenvalues in
+    Q(X) are its roots in Z[X] (`linear_eigenvalues`), divided by D.  A
+    singular g raises ValueError.  Preconditions checked: the dominant
+    block splits over Q(X), there is a strict valuation gap below the
+    remaining spectrum, and the block is diagonalizable (eigenspace
     dimensions match multiplicities).  The resulting span is validated as
     a Lagrangian by construction of Lagrangian.span.
     """
@@ -137,9 +139,10 @@ def attracting_lagrangian(g: Matrix, val: Valuation) -> Lagrangian:
     n = g.rows // 2
     image = FracMatrix.from_matrix(g)
     char_poly = image.char_poly()
-    all_vals = quotient_polygon(char_poly, image.den, val).expanded()
-    if len(all_vals) != 2 * n:
-        raise ValueError("matrix is singular")
+    try:
+        all_vals = quotient_root_valuations(char_poly, image.den, val)
+    except SingularMatrixError:
+        raise ValueError("matrix is singular") from None
     gap_low, gap_high = all_vals[n - 1], all_vals[n]
     if gap_low == gap_high:
         raise SlopeTieError(

@@ -238,7 +238,7 @@ class Matrix:
         as [[a, R], [C, M]]; its polynomial is the lower-triangular
         Toeplitz product of (1, -a, -RC, -RMC, ..., -RM^(k-1)C) with the
         polynomial of M (k = size of M).  Vectors run highest degree first
-        and leave their leading 1 implicit.
+        and leave their leading 1 implicit; it is returned as the int 1.
         """
         self._require_square()
         n = self.rows
@@ -261,7 +261,7 @@ class Matrix:
                 )
                 for t in range(len(q))
             ]
-        return Poly([*reversed(p), self.one()])
+        return Poly([*reversed(p), 1])
 
     # -- helpers ----------------------------------------------------------
 
@@ -424,9 +424,7 @@ class FracMatrix:
         (m,) = _remeasured((self,), lambda m: _width(
             max(perm(n, k) * m.length ** (k - 1) * m.bound**k for k in range(1, n + 1)), m.width
         ))
-        coeffs = Matrix(m.packed).char_poly().coeffs
-        # int(): on an all-zero matrix the leading 1 is Matrix.one()'s Fraction(1)
-        return Poly(unpack(int(c), m.width) for c in coeffs)
+        return Poly(unpack(c, m.width) for c in Matrix(m.packed).char_poly().coeffs)
 
     def to_matrix(self) -> Matrix:
         """The canonical matrix over Q(X)."""

@@ -45,7 +45,7 @@ from typing import Iterator, Sequence
 
 from .fields import OrderSpec, RatFunc
 from .linalg import FracMatrix, Matrix
-from .spectra import NORM_SUM, translation_length
+from .spectra import translation_length
 from .valuation import Valuation
 from .words import (
     Key, Word, ball_levels, is_class_representative, is_representative_prefix, letter_index,
@@ -246,22 +246,18 @@ def integrality_certificate(rep: RepTable) -> dict[str, int] | None:
     so every word image then stays integral: its characteristic
     polynomial has all Newton points at height >= 0 with the two ends at
     height 0, forcing every root valuation to 0 and every translation
-    length to vanish.
+    length to vanish.  Each generator is read from its cleared image
+    N/D in `rep.letters`, as min nu(N_ij) - nu(D) over nonzero N_ij.
     """
+    val = rep.valuation
     cert: dict[str, int] = {}
-    for name, m in rep.images.items():
-        worst = None
-        for row in m.entries:
-            for e in row:
-                if e.is_zero():
-                    continue
-                v = rep.valuation.of(e)
-                if worst is None or v < worst:
-                    worst = v
-        worst = 0 if worst is None else worst
-        if worst < 0:
-            return None
-        cert[name] = worst
+    for (name, sign), image in rep.letters.items():
+        if sign == 1:
+            den = val.of(image.den)
+            entries = (val.of(e) for row in image.num.entries for e in row if e)
+            cert[name] = min(entries, default=den) - den
+            if cert[name] < 0:
+                return None
     return cert
 
 
@@ -281,7 +277,7 @@ def closed_point_verdict(
     if cert is not None:
         return NotClosedIntegral(cert)
     for word, _, image in rep.class_representatives(radius):
-        length = translation_length(image, rep.valuation, NORM_SUM)
+        length = translation_length(image, rep.valuation)
         if length > 0:
             return ClosedPoint(word, length)
     return UnknownVerdict(radius)
@@ -290,6 +286,6 @@ def closed_point_verdict(
 def sweep_translation_lengths(rep: RepTable, radius: int) -> list[tuple[Word, Fraction]]:
     """Translation length per conjugacy-class representative up to radius."""
     return [
-        (w, translation_length(image, rep.valuation, NORM_SUM))
+        (w, translation_length(image, rep.valuation))
         for w, _, image in rep.class_representatives(radius)
     ]

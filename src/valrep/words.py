@@ -178,14 +178,13 @@ def conjugacy_key(key: Key) -> Key:
     """
     while len(key) >= 2 and key[0] == key[-1] ^ 1:
         key = key[1:-1]
-    return min(_rotations(key), default=())
+    inverse = tuple(k ^ 1 for k in reversed(key))
+    return min((k[i:] + k[:i] for k in (key, inverse) for i in range(len(k))), default=())
 
 
 def is_class_representative(key: Key) -> bool:
     """True when the word keyed `key` is the length-lex first member of its class."""
-    if len(key) >= 2 and key[0] == key[-1] ^ 1:
-        return False  # not cyclically reduced
-    return not any(rot < key for rot in _rotations(key))
+    return conjugacy_key(key) == key
 
 
 def is_representative_prefix(key: Key) -> bool:
@@ -204,14 +203,6 @@ def is_representative_prefix(key: Key) -> bool:
     return not any(key[i:] < key[: n - i] for i in range(1, n)) and not any(
         inverse[j:] < key[: n - j] for j in range(n)
     )
-
-
-def _rotations(key: Key) -> Iterator[Key]:
-    """Every rotation of a cyclically reduced key and of its inverse."""
-    inverse = tuple(k ^ 1 for k in reversed(key))
-    for k in (key, inverse):
-        for i in range(len(k)):
-            yield k[i:] + k[:i]
 
 
 def is_power_of_class(word: Word, base: Word, index: dict[Letter, int]) -> bool:

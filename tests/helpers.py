@@ -605,6 +605,16 @@ def generic_rep():
     )
 
 
+def qx_integrality_certificate(rep):
+    """integrality_certificate by its definition: min nu over each Q(X) image's nonzero entries."""
+    val = rep.valuation
+    cert = {
+        name: min((val.of(e) for row in m.entries for e in row if not e.is_zero()), default=0)
+        for name, m in rep.images.items()
+    }
+    return cert if all(v >= 0 for v in cert.values()) else None
+
+
 def ball_multicurve_certificate(rep, max_len, k_max=16):
     """multicurve_certificate_ball from the image of every word of the full ball.
 

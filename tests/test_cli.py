@@ -203,6 +203,66 @@ def test_jordan_builds_one_polygon_per_report(payload, monkeypatch, capsys):
     assert len(report["result"]["jordan"]) == 2 and report["result"]["polygon"]
 
 
+@st.composite
+def jordan_matrices(draw):
+    """h diag(c1 X^k1, c2 X^k2, 1/(c1 X^k1), 1/(c2 X^k2)) h^-1, h unipotent; maybe singular.
+
+    Small exponents make repeated root valuations common; a singular
+    draw sets one diagonal entry to 0.
+    """
+    from valrep.fields import ONE, RatFunc, X
+    from valrep.linalg import Matrix
+
+    from helpers import unipotent
+
+    small = st.integers(-3, 3).filter(bool)
+    zero = RatFunc.coerce(0)
+    scalars = [draw(small) * X ** draw(st.integers(-2, 2)) for _ in range(2)]
+    diagonal = scalars + [ONE / c for c in scalars]
+    if draw(st.booleans()) and draw(st.booleans()):
+        diagonal[draw(st.integers(0, 3))] = zero
+    d = Matrix([[e if i == j else zero for j in range(4)] for i, e in enumerate(diagonal)])
+    entries = [ONE * draw(small), X + draw(small), ONE / (X - draw(small))]
+    s = [[entries[0], entries[2]], [entries[2], entries[1]]]
+    minus_s = [[-e for e in row] for row in s]
+    upper = draw(st.booleans())
+    return unipotent(upper, s) @ d @ unipotent(upper, minus_s)
+
+
+@settings(max_examples=40)
+@given(jordan_matrices(), st.sampled_from(["adic:0", "adic:1", "adic:-1/2", "atinf"]))
+def test_jordan_polygon_is_the_shifted_newton_polygon(m, spec):
+    # the report's polygon, rebuilt from the root-valuation list, lists the
+    # Newton polygon of char_poly(N) shifted by -nu(D), for g = N/D
+    from valrep import cli
+    from valrep.fields import format_ratfunc
+    from valrep.linalg import FracMatrix
+    from valrep.valuation import Valuation, newton_polygon
+
+    payload = json.dumps({"matrix": [[format_ratfunc(e) for e in row] for row in m.entries]})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["jordan", "--json", payload, "--valuation", spec])
+    image = FracMatrix.from_matrix(m)
+    val = Valuation.from_spec_string(spec)
+    polygon = newton_polygon(image.char_poly(), val)
+    if polygon.zero_roots:
+        assert code == 2
+        assert out.getvalue() == _error_report("matrix is singular; Jordan data undefined")
+        return
+    assert code == 0
+    shift = val.of(image.den)
+    expected = [{"slope": cli.frac_str(shift - v), "mult": k} for v, k in polygon.root_valuations]
+    assert json.loads(out.getvalue())["result"]["polygon"] == expected
+
+
+def test_jordan_polygon_merges_repeated_root_valuations():
+    payload = json.dumps({"matrix": [["X", "0", "0", "0"], ["0", "2*X", "0", "0"],
+                                     ["0", "0", "1/X", "0"], ["0", "0", "0", "1/(2*X)"]]})
+    report = run_cli("jordan", "--json", payload, "--valuation", "adic:0")
+    assert report["result"]["polygon"] == [{"slope": "1", "mult": 2}, {"slope": "-1", "mult": 2}]
+
+
 def test_periods_command():
     payload = json.dumps(
         {"representation": "pants", "order": "aplus:0", "words": ["c1", "c1 c2^-1"]}

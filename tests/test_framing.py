@@ -85,6 +85,14 @@ def test_attracting_lagrangian_slope_tie():
         attracting_lagrangian(g, ADIC0)
 
 
+def test_attracting_lagrangian_rejects_a_singular_matrix():
+    # the shared root-valuation reader raises SingularMatrixError, a
+    # ZeroDivisionError; attracting_lagrangian reports a plain ValueError
+    with pytest.raises(ValueError, match="^matrix is singular$") as err:
+        attracting_lagrangian(diag(X, R(0), R(1), ONE / X), ADIC0)
+    assert not isinstance(err.value, ZeroDivisionError)
+
+
 def test_attracting_lagrangian_nonsplit():
     # rotation-like block has irrational eigenvalue structure over Q(X)
     one, z = R(1), R(0)

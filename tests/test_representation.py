@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from valrep.exprparse import parse_ratfunc
 from valrep.fields import ONE, OrderSpec, RatFunc, X, format_ratfunc
 from valrep.linalg import FracMatrix, Matrix
 from valrep.pants import boundary_words, pants_presentation, pants_rep
+from valrep.poly import Poly
 from valrep.representation import (
     ClosedPoint,
     DegreeGuardExceeded,
@@ -24,7 +26,10 @@ from valrep.representation import (
 from valrep.valuation import INFINITY, Valuation
 from valrep.words import Word, ball_levels, is_class_representative, parse_word
 
-from helpers import frac_ball, generic_rep, rotation_conjugacy_key, unkeyed, with_degree_bound
+from helpers import (
+    frac_ball, generic_rep, qx_integrality_certificate, rotation_conjugacy_key, unipotent, unkeyed,
+    with_degree_bound,
+)
 
 ORDER0 = OrderSpec.at_plus(0)
 ADIC0 = Valuation.adic(0)
@@ -146,6 +151,46 @@ def test_integrality_soundness_sweep():
     assert integrality_certificate(rep) is not None
     lengths = sweep_translation_lengths(rep, radius=6)
     assert lengths and all(value == 0 for _, value in lengths)
+
+
+ANCHORS = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2))
+SIDES = (OrderSpec.at_plus, OrderSpec.at_minus)
+PANTS_REPS = [pants_rep(side(a)) for a in ANCHORS for side in SIDES]
+
+
+@st.composite
+def conjugated_integral_reps(draw):
+    """Two unipotent generators over Z[X], conjugated by diag(t^k1, t^k2, t^-k1, t^-k2), t = X - a.
+
+    Before the conjugation every entry is integral at a; after it, an
+    entry scaled by a negative power of t may fall below 0.
+    """
+    a = draw(st.sampled_from(ANCHORS))
+    polys = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda cs: RatFunc(Poly(cs)))
+    t = X - a
+    scale = [t ** draw(st.integers(-2, 2)) for _ in range(2)]
+    scale += [ONE / d for d in scale]
+    images = {}
+    for name, upper in (("a", True), ("b", False)):
+        off = draw(polys)
+        g = unipotent(upper, [[draw(polys), off], [off, draw(polys)]])
+        images[name] = Matrix(
+            [scale[i] * e / scale[j] for j, e in enumerate(row)] for i, row in enumerate(g.entries)
+        )
+    order = draw(st.sampled_from(SIDES))(a)
+    return RepTable(GroupPresentation(("a", "b"), ()), images, order, Valuation(a))
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.sampled_from(PANTS_REPS + [generic_rep()]), conjugated_integral_reps()))
+def test_integrality_certificate_matches_the_entrywise_scan(rep):
+    # the certificate reads the cleared generators N/D as min nu(N_ij) - nu(D)
+    assert integrality_certificate(rep) == qx_integrality_certificate(rep)
+
+
+def test_integrality_certificate_examples_take_both_outcomes():
+    verdicts = [integrality_certificate(rep) is None for rep in PANTS_REPS + [generic_rep()]]
+    assert verdicts == [True, True] + [False] * 6 + [True]
 
 
 def test_word_ball_size_is_bounded_per_level(monkeypatch):
